@@ -1,4 +1,4 @@
-"""Exact swap-number solver and small brute-force oracles.
+"""Exact swap-number solver.
 
 The swap number of a graph is the least k admitting two disjoint dominating
 sets of size k joined by a perfect matching; graphs without such a pair have
@@ -18,11 +18,8 @@ from .graph_core import (
     SwapCertificate,
     _mask_members,
     domination_number,
-    is_dominating,
     is_strong_graph,
-    is_tree,
     lex_least_matching,
-    mask_of,
     matching_between,
     members_of,
 )
@@ -131,7 +128,8 @@ def _certificate_for(g: Graph, d_mask: int, dp_mask: int) -> SwapCertificate:
     d = members_of(d_mask)
     dp = members_of(dp_mask)
     matching = lex_least_matching(g, d, dp)
-    assert matching is not None
+    if matching is None:
+        raise AssertionError("swap pair search returned an unmatched pair")
     return SwapCertificate.build(d, dp, matching)
 
 
@@ -150,6 +148,19 @@ def swap_pair_search(g: Graph, k: int, budget: _Budget) -> tuple[int, int] | str
     return None
 
 
+def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
+    """Lexicographically least swap pair at the least k in ks: finite with
+    its certificate, infinite when no k in ks has one, or budget_exceeded."""
+    budget = _Budget(node_budget)
+    for k in ks:
+        found = swap_pair_search(g, k, budget)
+        if found == "budget":
+            return DdmResult(BUDGET_EXCEEDED)
+        if found is not None:
+            return finite_result(_certificate_for(g, *found))
+    return DdmResult(INFINITE)
+
+
 def dd_m_exact(g: Graph, node_budget: int = 100_000_000,
                use_strong_shortcut: bool = True) -> DdmResult:
     """Exact swap number with certificate.
@@ -165,22 +176,7 @@ def dd_m_exact(g: Graph, node_budget: int = 100_000_000,
         raise ContractError("swap number needs a non-empty graph")
     if use_strong_shortcut and is_strong_graph(g):
         return DdmResult(INFINITE)
-    budget = _Budget(node_budget)
-    gamma = domination_number(g)
-    for k in range(gamma, g.n // 2 + 1):
-        found = swap_pair_search(g, k, budget)
-        if found == "budget":
-            return DdmResult(BUDGET_EXCEEDED)
-        if found is not None:
-            d_mask, dp_mask = found
-            return finite_result(_certificate_for(g, d_mask, dp_mask))
-    return DdmResult(INFINITE)
-
-
-def has_swap_set(g: Graph, node_budget: int = 100_000_000) -> DdmResult:
-    """Does g admit any swap pair?  Finite results carry the first certificate
-    found (which here is also minimum); infinite means certified absence."""
-    return dd_m_exact(g, node_budget=node_budget)
+    return _first_pair(g, range(domination_number(g), g.n // 2 + 1), node_budget)
 
 
 def swap_pair_below(g: Graph, bound: int, node_budget: int = 100_000_000) -> DdmResult:
@@ -192,106 +188,5 @@ def swap_pair_below(g: Graph, bound: int, node_budget: int = 100_000_000) -> Ddm
     """
     if g.n == 0:
         raise ContractError("swap pair search needs a non-empty graph")
-    budget = _Budget(node_budget)
-    gamma = domination_number(g)
-    for k in range(gamma, min(bound, g.n // 2 + 1)):
-        found = swap_pair_search(g, k, budget)
-        if found == "budget":
-            return DdmResult(BUDGET_EXCEEDED)
-        if found is not None:
-            return finite_result(_certificate_for(g, *found))
-    return DdmResult(INFINITE)
-
-
-# ---------------------------------------------------------------------------
-# star-partition weight oracle (brute force, small trees only)
-
-def star_partition_weight_oracle(t: Graph, max_n: int = 10) -> int:
-    """Minimum weight of a simple star partitioning of a tree, by exhaustive
-    partition enumeration; weight of a partition is n minus its part count.
-
-    Parts must induce stars; a vertex adjacent to exactly one leaf must form
-    a K2 part with that leaf; singleton parts need two or more non-singleton
-    neighbor parts.  Returns None if no partitioning exists.
-    """
-    if not is_tree(t):
-        raise ContractError("star partition oracle expects a tree")
-    if t.n < 2:
-        raise ContractError("star partition needs a non-trivial tree")
-    if t.n > max_n:
-        raise ContractError(f"oracle capped at n={max_n}")
-    n = t.n
-    # weak stems and their forced leaf partner
-    forced_partner = {}
-    for v in range(n):
-        leaves = [u for u in t.neighbors(v) if t.degree(u) == 1]
-        if len(leaves) == 1:
-            forced_partner[v] = leaves[0]
-            forced_partner[leaves[0]] = v
-
-    best: list[int | None] = [None]
-
-    def star_ok(members: list[int]) -> bool:
-        if len(members) == 1:
-            return True
-        for c in members:
-            cm = t.open_mask(c)
-            if all(cm >> u & 1 for u in members if u != c):
-                return True
-        return False
-
-    def extendable(members: list[int], next_v: int) -> bool:
-        """Could members still become a star using only vertices >= next_v?"""
-        if star_ok(members):
-            return True
-        # need a future common neighbor adjacent to every current member
-        common = t.full_mask
-        for u in members:
-            common &= t.open_mask(u)
-        return bool(common >> next_v)
-
-    def finish_check(parts: list[list[int]]) -> bool:
-        non_k1 = [i for i, p in enumerate(parts) if len(p) > 1]
-        part_of = {}
-        for i, p in enumerate(parts):
-            for v in p:
-                part_of[v] = i
-        for i, p in enumerate(parts):
-            if len(p) == 1:
-                nbr_parts = {part_of[u] for u in t.neighbors(p[0])} - {i}
-                if sum(1 for j in nbr_parts if len(parts[j]) > 1) < 2:
-                    return False
-        return True
-
-    def rec(v: int, parts: list[list[int]], weight: int) -> None:
-        if best[0] is not None and weight >= best[0]:
-            return
-        if v == n:
-            if all(star_ok(p) for p in parts) and finish_check(parts):
-                best[0] = weight
-            return
-        partner = forced_partner.get(v)
-        if partner is None or partner > v:
-            if partner is None:
-                for p in parts:
-                    # parts holding a vertex locked into a forced K2 cannot grow
-                    if any(u in forced_partner for u in p):
-                        continue
-                    p.append(v)
-                    if extendable(p, v + 1):
-                        rec(v + 1, parts, weight + 1)
-                    p.pop()
-            parts.append([v])
-            rec(v + 1, parts, weight)
-            parts.pop()
-        else:
-            # v's forced partner is already placed: join it, and only it
-            for p in parts:
-                if p == [partner]:
-                    p.append(v)
-                    rec(v + 1, parts, weight + 1)
-                    p.pop()
-                    break
-
-    rec(0, [], 0)
-    return best[0]
+    return _first_pair(g, range(domination_number(g), min(bound, g.n // 2 + 1)),
+                       node_budget)

@@ -244,40 +244,35 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
     return True
 
 
-def is_connected(g: Graph) -> bool:
+def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from vertex 0, neighbors in ascending order.
+
+    Returns (parent, order): order lists the vertices reached from 0 in
+    visiting order, and parent[v] is the vertex v was reached from (-1 for
+    vertex 0 and for unreached vertices).  The empty graph gives ([], []).
+    """
     if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _mask_members(frontier):
-            nxt |= g.open_mask(v)
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+        return [], []
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    seen[0] = True
+    order = [0]
+    adj = g._adj
+    for v in order:  # order grows while it is walked: a FIFO queue
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                order.append(u)
+    return parent, order
+
+
+def is_connected(g: Graph) -> bool:
+    return len(bfs_tree(g)[1]) == g.n
 
 
 def is_tree(g: Graph) -> bool:
     return g.n >= 1 and len(g.edges) == g.n - 1 and is_connected(g)
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    out = []
-    remaining = g.full_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _mask_members(frontier):
-                nxt |= g.open_mask(v)
-            frontier = nxt & remaining & ~seen
-            seen |= frontier
-        out.append(members_of(seen))
-        remaining &= ~seen
-    return out
 
 
 def classify_stems(g: Graph) -> tuple[str, ...]:

@@ -17,6 +17,7 @@ from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
+    bfs_tree,
     cartesian_product,
     domination_number,
     has_dominating_set,
@@ -25,7 +26,7 @@ from .graph_core import (
     star_graph,
     verify_certificate,
 )
-from .tree_algorithms import StarPartition, _require_nontrivial_tree
+from .tree_algorithms import StarPartition, _require_nontrivial_tree, _rooted
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +101,10 @@ def star_partition_order2(t: Graph) -> StarPartition:
     part center, or its K2 part can be re-centered).
     """
     _require_nontrivial_tree(t)
-    parent = [-1] * t.n
+    parent, children, order = _rooted(t)
     depth = [0] * t.n
-    order = [0]
-    seen = {0}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in t.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                order.append(u)
-    children = [[] for _ in range(t.n)]
     for v in order[1:]:
-        children[parent[v]].append(v)
+        depth[v] = depth[parent[v]] + 1
 
     remaining = set(range(t.n))
     live_children = {v: set(children[v]) for v in range(t.n)}
@@ -149,7 +137,8 @@ def star_partition_order2(t: Graph) -> StarPartition:
         if parent[v] != -1:
             live_children[parent[v]].discard(v)
     partition = StarPartition.build(parts)
-    assert all(ls for _, ls in partition.parts)
+    if not all(ls for _, ls in partition.parts):
+        raise AssertionError("star partition left a singleton part")
     return partition
 
 
@@ -205,21 +194,10 @@ def tree_product_swap(t: Graph, t_prime: Graph) -> tuple[Graph, SwapCertificate,
 
 def bfs_spanning_tree(g: Graph) -> Graph:
     """Breadth-first spanning tree from vertex 0, neighbors in ascending order."""
-    if not is_connected(g):
+    parent, order = bfs_tree(g)
+    if len(order) != g.n:
         raise ContractError("spanning tree needs a connected graph")
-    edges = []
-    seen = {0}
-    queue = [0]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                edges.append((v, u))
-                queue.append(u)
-    return Graph(g.n, edges)
+    return Graph(g.n, [(parent[v], v) for v in order[1:]])
 
 
 def product_swap_general(g: Graph, h: Graph) -> tuple[Graph, SwapCertificate]:
@@ -331,7 +309,8 @@ def product_question_scan(max_vertices: int, exact_threshold: int = 12,
             counterexample_cert = None
             if product.n <= exact_threshold:
                 res = dd_m_exact(product)
-                assert res.status == FINITE  # the construction guarantees a pair
+                if res.status != FINITE:  # the construction guarantees a pair
+                    raise AssertionError("exact solver missed the constructed pair")
                 ddm_val = res.k
                 ddm_cell = str(ddm_val)
                 if ddm_val < gg:

@@ -19,6 +19,8 @@ from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
+    bfs_tree,
+    is_strong_graph,
     is_tree,
     verify_certificate,
 )
@@ -148,10 +150,7 @@ def validate_star_partition(t: Graph, p: StarPartition) -> tuple[str, ...]:
 def is_weak_tree(t: Graph) -> bool:
     """True iff no vertex of the tree has two or more leaf neighbors."""
     _require_tree(t)
-    for v in range(t.n):
-        if sum(1 for u in t.neighbors(v) if t.degree(u) == 1) >= 2:
-            return False
-    return True
+    return not is_strong_graph(t)
 
 
 @dataclass(frozen=True)
@@ -189,24 +188,13 @@ def weak_reduction(t: Graph) -> WeakReduction:
 # ---------------------------------------------------------------------------
 # S(T) dynamic program on weak trees
 
-def _rooted(t: Graph, root: int = 0):
-    parent = [-1] * t.n
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in t.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
+def _rooted(t: Graph):
+    """(parent, children, order) for t rooted at vertex 0: the breadth-first
+    walk plus each vertex's children, ascending."""
+    parent, order = bfs_tree(t)
     children = [[] for _ in range(t.n)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    for cs in children:
-        cs.sort()
     return parent, children, order
 
 
@@ -344,19 +332,19 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
         raise AssertionError("no simple star partitioning found on a weak tree")
     best_state = min(root_states, key=lambda s: (dp[root][s], s != "C"))
 
+    # parents precede children in the walk, so each vertex's state is known
+    # by the time it is reached
+    state_of = {root: best_state}
     parts: list[tuple[int, tuple[int, ...]]] = []
-
-    def emit(v: int, state: str) -> None:
+    for v in order:
+        state = state_of[v]
         partner, assign = trace[v][state]
         if state == "C":
             a, b = (v, partner) if v < partner else (partner, v)
             parts.append((a, (b,)))
         elif state in ("K0", "K1"):
             parts.append((v, ()))
-        for c in children[v]:
-            emit(c, assign[c])
-
-    emit(root, best_state)
+        state_of.update(assign)
     return dp[root][best_state], parts
 
 
@@ -386,7 +374,8 @@ def s_weight(t: Graph) -> tuple[int, StarPartition]:
             raw.append((members[0], members[1:]))
     partition = StarPartition.build(raw)
     total = w_red + len(red.removed)
-    assert partition.weight == total
+    if partition.weight != total:
+        raise AssertionError("re-expanded partition weight differs from S(T)")
     return total, partition
 
 

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from helpers import brute_alpha, brute_ddm
+from helpers import brute_alpha, brute_ddm, star_partition_weight_oracle
 from swapsets import (
     FINITE,
     INFINITE,
@@ -44,7 +44,6 @@ from swapsets import (
     verify_certificate,
     weak_reduction,
 )
-from swapsets.exact_solver import star_partition_weight_oracle
 
 
 def announce(num: int, ok: bool, detail: str) -> None:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from swapsets import format_graph, path_graph
+from swapsets import SwapCertificate, format_graph, path_graph
 from swapsets.cli import load_graph, run
 
 
@@ -163,6 +163,30 @@ class TestScan:
         assert code == 1
         assert len(obj["existence_counterexamples"]) == 3
         assert obj["bound_counterexamples"] == []
+
+    def test_alpha3_unverified_certificate_is_an_error(self, capsys, monkeypatch):
+        import swapsets.small_alpha as small_alpha
+
+        real = small_alpha.alpha3_swap_with_stage
+        tampered = []
+
+        def first_certificate_broken(g):
+            cert, stage = real(g)
+            if not tampered:
+                tampered.append(small_alpha.canonical_id(g))
+                cert = SwapCertificate.build(cert.d, cert.d, cert.matching)
+            return cert, stage
+
+        monkeypatch.setattr(small_alpha, "alpha3_swap_with_stage",
+                            first_certificate_broken)
+        code = run(["scan", "alpha3", "--max-n", "6"])
+        captured = capsys.readouterr()
+        (graph_id,) = tampered
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert graph_id in captured.err and "failed verification" in captured.err
+        listed = json.loads(captured.out)["existence_counterexamples"]
+        assert graph_id not in {row["graph_id"] for row in listed}
 
     def test_conjectures_clean(self, capsys):
         code, obj = run_json(capsys, "scan", "conjectures", "--max-n", "4")

@@ -19,7 +19,7 @@ from swapsets import (
     swap_pair_below,
     verify_certificate,
 )
-from swapsets.exact_solver import dominating_sets_lex, has_swap_set
+from swapsets.exact_solver import dominating_sets_lex
 from swapsets.small_alpha import enumerate_connected_graphs
 from test_graph_core import random_graphs
 
@@ -128,10 +128,6 @@ class TestResultShape:
     def test_json_infinity_spelling(self):
         assert DdmResult(INFINITE).to_json_dict()["ddm"] == "infinity"
         assert dd_m_exact(path_graph(4)).to_json_dict()["ddm"] == 2
-
-    def test_has_swap_set_wrapper(self):
-        assert has_swap_set(path_graph(4)).status == FINITE
-        assert has_swap_set(star_graph(3)).status == INFINITE
 
 
 class TestAgainstBruteForce:

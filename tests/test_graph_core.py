@@ -28,8 +28,8 @@ from swapsets import (
     verify_certificate,
 )
 from swapsets.graph_core import (
+    bfs_tree,
     classify_stems,
-    connected_components,
     lex_least_matching,
     mask_of,
     members_of,
@@ -151,8 +151,12 @@ class TestPredicates:
     def test_connectivity(self):
         assert is_connected(path_graph(6))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
-        comps = connected_components(Graph(4, [(0, 1), (2, 3)]))
-        assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
+
+    def test_bfs_tree(self):
+        parent, order = bfs_tree(Graph(6, [(0, 3), (0, 1), (1, 2), (3, 2), (4, 5)]))
+        assert order == [0, 1, 3, 2]
+        assert parent == [-1, 0, 1, 0, -1, -1]
+        assert bfs_tree(Graph(0, [])) == ([], [])
 
     def test_is_tree(self):
         assert is_tree(path_graph(5))
