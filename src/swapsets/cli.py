@@ -33,15 +33,7 @@ from .graph_core import (
     star_graph,
     verify_certificate,
 )
-from .tree_algorithms import (
-    alpha_equals_ddm,
-    alpha_equals_eviction,
-    dd_m_tree,
-    four_way_equality,
-    is_weak_tree,
-    s_weight,
-    weak_reduction,
-)
+from .tree_algorithms import analyse_tree
 
 _GENERATORS = re.compile(r"^(?:p(\d+)|c(\d+)|k1,(\d+)|grid:(\d+)x(\d+))$")
 
@@ -86,21 +78,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    t = load_graph(args.graph)
-    weight, partition = s_weight(t)
-    reduction = weak_reduction(t)
-    result = dd_m_tree(t)
-    _emit({
-        "n": t.n,
-        "is_weak": is_weak_tree(t),
-        "s_weight": weight,
-        "partition": partition.to_json_dict(),
-        "reduction_removed": len(reduction.removed),
-        "result": result.to_json_dict(),
-        "gamma_equals_alpha": four_way_equality(t),
-        "alpha_equals_swap_number": alpha_equals_ddm(t),
-        "alpha_equals_eviction": alpha_equals_eviction(t),
-    })
+    _emit(analyse_tree(load_graph(args.graph)).to_json_dict())
     return 0
 
 

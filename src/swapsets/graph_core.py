@@ -1,12 +1,14 @@
 """Core graph machinery: immutable graphs, domination tests, matchings, certificates.
 
 Vertex sets travel through the public API as plain iterables of ints and come
-back as frozensets; internally everything is a bitmask (one Python int per
-set) so domination and adjacency checks are word-parallel.
+back as frozensets.  Graphs store sorted adjacency tuples, so building one and
+checking a certificate on it take O(n + m); the exact searches on small graphs
+work on bitmasks (one Python int per vertex set), built on first use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,9 +32,10 @@ class BudgetError(RuntimeError):
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Adjacency is stored both as sorted neighbor tuples and as per-vertex
-    bitmasks (open and closed neighborhoods).  Instances hash and compare
-    by (n, edges) so they can key caches.
+    Adjacency is stored as sorted neighbor tuples.  The per-vertex bitmasks
+    of open and closed neighborhoods take n bits each, so they are built only
+    when a mask user first asks for them (see __getattr__).  Instances hash
+    and compare by (n, edges) so they can key caches.
     """
 
     __slots__ = ("n", "edges", "full_mask", "_adj", "_open", "_closed", "_hash")
@@ -53,14 +56,28 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(seen))
         self.full_mask = (1 << n) - 1
-        open_masks = [0] * n
+        adj = [[] for _ in range(n)]
+        # in sorted edge order each vertex meets its lower neighbors first,
+        # then its higher ones, both ascending
         for u, v in self.edges:
-            open_masks[u] |= 1 << v
-            open_masks[v] |= 1 << u
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(map(tuple, adj))
+        self._hash = hash((n, self.edges))
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset: build the masks on first use
+        if name not in ("_open", "_closed"):
+            raise AttributeError(name)
+        open_masks = []
+        for nbrs in self._adj:
+            m = 0
+            for u in nbrs:
+                m |= 1 << u
+            open_masks.append(m)
         self._open = tuple(open_masks)
         self._closed = tuple(m | (1 << v) for v, m in enumerate(open_masks))
-        self._adj = tuple(tuple(_mask_members(m)) for m in open_masks)
-        self._hash = hash((n, self.edges))
+        return getattr(self, name)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -77,7 +94,9 @@ class Graph:
         return self._closed[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._open[u] >> v & 1)
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -228,20 +247,29 @@ def subdivided_doubled_triangle() -> Graph:
 # ---------------------------------------------------------------------------
 # domination and related
 
+def _checked(vertices: Iterable[int], n: int) -> set[int]:
+    """The vertex collection as a set, range-checked against n."""
+    out = set()
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        out.add(v)
+    return out
+
+
 def is_dominating(g: Graph, s: Iterable[int]) -> bool:
     """True iff every vertex is in s or adjacent to a member of s."""
-    covered = 0
-    for v in _mask_members(mask_of(s, g.n)):
-        covered |= g.closed_mask(v)
-    return covered == g.full_mask
+    covered = bytearray(g.n)
+    for v in _checked(s, g.n):
+        covered[v] = 1
+        for u in g._adj[v]:
+            covered[u] = 1
+    return 0 not in covered
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    m = mask_of(s, g.n)
-    for v in _mask_members(m):
-        if g.open_mask(v) & m:
-            return False
-    return True
+    members = _checked(s, g.n)
+    return not any(u in members for v in members for u in g._adj[v])
 
 
 def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
@@ -309,22 +337,40 @@ def matching_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[tupl
         raise ContractError("matching endpoints must have equal size")
     if set(a_list) & set(b_list):
         raise ContractError("matching endpoints must be disjoint")
-    b_mask = mask_of(b_list, g.n)
-    adj = {u: [v for v in g.neighbors(u) if b_mask >> v & 1] for u in a_list}
+    b_set = _checked(b_list, g.n)
+    adj = {u: [v for v in g.neighbors(u) if v in b_set] for u in a_list}
     match_of_b: dict[int, int] = {}
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_of_b or augment(match_of_b[v], visited):
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from root, walked with
+        an explicit stack: stack[i] is the a-vertex at depth i with its
+        partner iterator, via[i] the b-vertex that led to stack[i + 1]."""
+        visited = set()
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, partners = stack[-1]
+            for v in partners:
+                if v in visited:
+                    continue
+                visited.add(v)
+                if v in match_of_b:
+                    via.append(v)
+                    w = match_of_b[v]
+                    stack.append((w, iter(adj[w])))
+                    break
                 match_of_b[v] = u
+                for (x, _), y in zip(reversed(stack[:-1]), reversed(via)):
+                    match_of_b[y] = x
                 return True
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     for u in a_list:
-        if not augment(u, set()):
+        if not augment(u):
             return None
     match_of_a = {u: v for v, u in match_of_b.items()}
     return tuple((u, match_of_a[u]) for u in a_list)

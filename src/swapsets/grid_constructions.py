@@ -17,8 +17,8 @@ used for lower-bound cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from .graph_core import (
     ContractError,
@@ -137,32 +137,43 @@ def _base_board(m: int, n: int) -> tuple[set, set]:
     return black, white
 
 
-def _board_problems(m: int, n: int, black: set, white: set) -> set:
+def _board_problems(m: int, n: int, black: set, white: set, window=None) -> set:
     """Cells witnessing a failure: blocked or colliding token moves, or a
-    vertex left undominated by the tokens before or after the move."""
-    d = black | white
+    vertex left undominated by the tokens before or after the move.
+
+    window = (lo_i, hi_i, lo_j, hi_j) limits the answer to the cells of that
+    rectangle, which is exactly the whole-board answer there: moves are
+    horizontal, so only tokens within two columns and one row of the
+    rectangle can mark one of its cells.
+    """
+    lo_i, hi_i, lo_j, hi_j = window or (1, m, 1, n)
     problems = set()
     targets = {}
-    for (i, j) in sorted(black | white):
-        t = (i + 1, j) if (i, j) in black else (i - 1, j)
-        if not (1 <= t[0] <= m and 1 <= t[1] <= n):
-            problems.add((i, j))
-            continue
-        if t in d:
-            problems.update({(i, j), t})
-        if t in targets:
-            problems.update({(i, j), targets[t]})
-        else:
-            targets[t] = (i, j)
-    dp = set(targets)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
+    for i in range(max(1, lo_i - 2), min(m, hi_i + 2) + 1):
+        for j in range(max(1, lo_j - 1), min(n, hi_j + 1) + 1):
+            if (i, j) in black:
+                t = (i + 1, j)
+            elif (i, j) in white:
+                t = (i - 1, j)
+            else:
+                continue
+            if not (1 <= t[0] <= m and 1 <= t[1] <= n):
+                problems.add((i, j))
+                continue
+            if t in black or t in white:
+                problems.update({(i, j), t})
+            if t in targets:
+                problems.update({(i, j), targets[t]})
+            else:
+                targets[t] = (i, j)
+    for i in range(lo_i, hi_i + 1):
+        for j in range(lo_j, hi_j + 1):
             closed = ((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-            if not any(c in d for c in closed):
+            if not any(c in black or c in white for c in closed):
                 problems.add((i, j))
-            if not any(c in dp for c in closed):
+            if not any(c in targets for c in closed):
                 problems.add((i, j))
-    return problems
+    return {(i, j) for i, j in problems if lo_i <= i <= hi_i and lo_j <= j <= hi_j}
 
 
 def _corner_ops(box_cells, black, white):
@@ -217,28 +228,27 @@ def _repair_corners(m: int, n: int, black: set, white: set, size_cap: int):
         ci, cj = corner
         box = sorted((i, j)
                      for i in range(max(1, ci - 2), min(m, ci + 2) + 1)
-                     for j in range(max(1, cj - 2), min(n, cj + 2) + 1)
-                     if near((i, j), corner, 2))
+                     for j in range(max(1, cj - 2), min(n, cj + 2) + 1))
+        # every edit lies within 2 of the corner and changes the problem
+        # status only of cells within 2 of itself, so the cells within 4 of
+        # the corner are the only ones to re-check
+        window = (max(1, ci - 4), min(m, ci + 4), max(1, cj - 4), min(n, cj + 4))
         singles = _corner_ops(box, black, white)
         candidates = [[op] for op in singles]
         candidates += [[a, b] for a, b in combinations(singles, 2) if a[1] != b[1]]
-        fixed = False
         for cand in candidates:
             nb, nw = _apply_ops(cand, black, white)
             if len(nb) + len(nw) > size_cap:
                 continue
-            remaining = _board_problems(m, n, nb, nw)
-            if any(near(p, corner, 4) for p in remaining):
+            if _board_problems(m, n, nb, nw, window):
                 continue
-            if not remaining <= problems:
-                continue
-            black, white, problems = nb, nw, remaining
-            fixed = True
+            black, white, problems = nb, nw, problems - mine
             break
-        if not fixed:
+        else:
             raise AssertionError(f"no local repair found at corner {corner}")
-    if problems:
-        raise AssertionError(f"unrepaired cells remain: {sorted(problems)}")
+    remaining = _board_problems(m, n, black, white)
+    if remaining:
+        raise AssertionError(f"unrepaired cells remain: {sorted(remaining)}")
     return black, white
 
 
@@ -324,15 +334,32 @@ def p3_strip_swap(k: int) -> tuple[Graph, SwapCertificate]:
 # ---------------------------------------------------------------------------
 # transfer-matrix domination oracle
 
-@lru_cache(maxsize=None)
 def gamma_grid_dp(rows: int, cols: int) -> int:
     """Exact domination number of the rows x cols grid by a column-sweep
     DP whose frontier tracks, per row, whether the previous column's cell
-    is in the set, dominated, or still waiting on the next column."""
+    is in the set, dominated, or still waiting on the next column.
+
+    One sweep per row count is kept and resumed, so asking for more columns
+    runs only the column steps not yet taken."""
     if not 1 <= rows <= 8:
         raise ContractError("frontier DP supports 1..8 rows")
     if cols < 1:
         raise ContractError("cols must be positive")
+    if rows not in _SWEEPS:
+        _SWEEPS[rows] = (_gamma_sweep(rows), [])
+    sweep, known = _SWEEPS[rows]
+    while len(known) < cols:
+        known.append(next(sweep))
+    return known[cols - 1]
+
+
+# rows -> (the running sweep, domination numbers of rows x 1, rows x 2, ...)
+_SWEEPS: dict[int, tuple[Iterator[int], list[int]]] = {}
+
+
+def _gamma_sweep(rows: int) -> Iterator[int]:
+    """Domination numbers of the rows x 1, rows x 2, ... grids, one column
+    step per value."""
     full = (1 << rows) - 1
     vert = [0] * (1 << rows)
     for s in range(1 << rows):
@@ -351,7 +378,8 @@ def gamma_grid_dp(rows: int, cols: int) -> int:
         key = (s, undom)
         if counts[s] < cur.get(key, 1 << 30):
             cur[key] = counts[s]
-    for _ in range(cols - 1):
+    while True:
+        yield min(cost for (_, undom), cost in cur.items() if undom == 0)
         nxt = {}
         for (prev_in, undom), cost in cur.items():
             for s in supersets[undom]:
@@ -361,7 +389,6 @@ def gamma_grid_dp(rows: int, cols: int) -> int:
                 if c < nxt.get(key, 1 << 30):
                     nxt[key] = c
         cur = nxt
-    return min(cost for (_, undom), cost in cur.items() if undom == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the host graph.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .exact_solver import dd_m_exact, swap_pair_below, INFINITE, FINITE
@@ -96,9 +97,12 @@ def star_partition_order2(t: Graph) -> StarPartition:
     """Partition a non-trivial tree into induced stars of order >= 2.
 
     Greedy: repeatedly take the deepest vertex whose remaining children are
-    all leaves and cut it off with them; a root left alone at the end joins
-    the part of one of its former children (always possible: that child is a
-    part center, or its K2 part can be re-centered).
+    all leaves (the lowest index among equals) and cut it off with them; a
+    root left alone at the end joins the part of one of its former children
+    (always possible: that child is a part center, or its K2 part can be
+    re-centered).  The vertices left always form a subtree around the root,
+    and cutting a stem off can make only its parent and grandparent ready,
+    so a heap of ready stems finds each next stem in O(log n).
     """
     _require_nontrivial_tree(t)
     parent, children, order = _rooted(t)
@@ -106,36 +110,45 @@ def star_partition_order2(t: Graph) -> StarPartition:
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
 
-    remaining = set(range(t.n))
-    live_children = {v: set(children[v]) for v in range(t.n)}
+    live_children = [len(cs) for cs in children]
+    # live children that still have live children of their own
+    inner_children = [sum(1 for c in cs if children[c]) for cs in children]
+    ready = [(-depth[v], v) for v in range(t.n) if children[v] and not inner_children[v]]
+    heapq.heapify(ready)
+    cut = [False] * t.n
+    remaining = t.n
     parts: list[tuple[int, list[int]]] = []
-    while remaining:
-        if len(remaining) == 1:
-            (r,) = remaining
-            placed = False
-            for idx, (c, leaves) in enumerate(parts):
-                if t.has_edge(r, c):
-                    leaves.append(r)
-                    placed = True
-                elif len(leaves) == 1 and t.has_edge(r, leaves[0]):
-                    # re-center a K2 at the endpoint adjacent to the root
-                    parts[idx] = (leaves[0], [c, r])
-                    placed = True
-                if placed:
-                    break
-            if not placed:
-                raise AssertionError("lone root could not join any star part")
-            remaining.clear()
-            break
-        stems = [v for v in remaining
-                 if live_children[v] and all(not live_children[c] for c in live_children[v])]
-        v = max(stems, key=lambda x: (depth[x], -x))
-        members = sorted(live_children[v])
+    while remaining > 1:
+        _, v = heapq.heappop(ready)
+        members = [c for c in children[v] if not cut[c]]
         parts.append((v, members))
         for x in [v, *members]:
-            remaining.discard(x)
-        if parent[v] != -1:
-            live_children[parent[v]].discard(v)
+            cut[x] = True
+        remaining -= 1 + len(members)
+        p = parent[v]
+        if p == -1:
+            continue
+        live_children[p] -= 1
+        inner_children[p] -= 1
+        if live_children[p] and not inner_children[p]:
+            heapq.heappush(ready, (-depth[p], p))
+        elif not live_children[p] and parent[p] != -1:
+            grand = parent[p]
+            inner_children[grand] -= 1
+            if not inner_children[grand]:
+                heapq.heappush(ready, (-depth[grand], grand))
+    if remaining:
+        r = order[0]
+        for idx, (c, leaves) in enumerate(parts):
+            if t.has_edge(r, c):
+                leaves.append(r)
+                break
+            if len(leaves) == 1 and t.has_edge(r, leaves[0]):
+                # re-center a K2 at the endpoint adjacent to the root
+                parts[idx] = (leaves[0], [c, r])
+                break
+        else:
+            raise AssertionError("lone root could not join any star part")
     partition = StarPartition.build(parts)
     if not all(ls for _, ls in partition.parts):
         raise AssertionError("star partition left a singleton part")

@@ -170,6 +170,7 @@ class WeakReduction:
 
 
 def weak_reduction(t: Graph) -> WeakReduction:
+    """The weak reduction of a tree; a weak tree is its own reduction."""
     _require_tree(t)
     drop = set()
     removed = []
@@ -179,10 +180,21 @@ def weak_reduction(t: Graph) -> WeakReduction:
             for u in leaves[1:]:
                 drop.add(u)
                 removed.append((v, u))
+    if not removed:
+        return WeakReduction(t, (), tuple(range(t.n)))
     keep = [v for v in range(t.n) if v not in drop]
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in t.edges if u not in drop and v not in drop]
     return WeakReduction(Graph(len(keep), edges), tuple(sorted(removed)), tuple(keep))
+
+
+def _reduce_nontrivial(t: Graph) -> WeakReduction:
+    """Weak reduction of a non-trivial tree.  weak_reduction checks that t is
+    a tree, so callers that start here check it once."""
+    red = weak_reduction(t)
+    if t.n < 2:
+        raise ContractError("expected a non-trivial tree")
+    return red
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +360,11 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
     return dp[root][best_state], parts
 
 
-def s_weight(t: Graph) -> tuple[int, StarPartition]:
-    """Exact minimum weight of a simple star partitioning, with a witness.
-
-    Strong stems are handled by reduction: strip all but one leaf per strong
-    stem, solve the weak remainder by DP, then re-expand each stripped leaf
-    into its stem's part (the stem becomes the center of a bigger star).
-    Each stripped leaf contributes exactly 1 to the weight.
-    """
-    _require_nontrivial_tree(t)
-    red = weak_reduction(t)
+def _min_partition(red: WeakReduction) -> tuple[int, StarPartition]:
+    """(S(T'), a minimum simple star partitioning of T) for the weak
+    reduction T' of a non-trivial tree T: the DP solves T', then each
+    stripped leaf rejoins its stem's part (the stem becomes the center of a
+    bigger star) and adds exactly 1 to the weight."""
     w_red, parts_red = _weak_partition_dp(red.reduced)
     emb = red.embedding
     extra: dict[int, list[int]] = {}
@@ -373,10 +380,20 @@ def s_weight(t: Graph) -> tuple[int, StarPartition]:
         else:
             raw.append((members[0], members[1:]))
     partition = StarPartition.build(raw)
-    total = w_red + len(red.removed)
-    if partition.weight != total:
+    if partition.weight != w_red + len(red.removed):
         raise AssertionError("re-expanded partition weight differs from S(T)")
-    return total, partition
+    return w_red, partition
+
+
+def s_weight(t: Graph) -> tuple[int, StarPartition]:
+    """Exact minimum weight of a simple star partitioning, with a witness.
+
+    Strong stems are handled by reduction: strip all but one leaf per strong
+    stem, solve the weak remainder by DP, then re-expand each stripped leaf
+    into its stem's part.
+    """
+    _, partition = _min_partition(_reduce_nontrivial(t))
+    return partition.weight, partition
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +413,18 @@ def swap_set_from_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     flipped.
     """
     _require_nontrivial_tree(t)
-    if not is_weak_tree(t):
+    if is_strong_graph(t):
         raise ContractError("swap sets exist only on weak trees")
     bad = validate_star_partition(t, p)
     if bad:
         raise ContractError(f"invalid star partition: {bad[0]}")
     if any(len(ls) > 1 for _, ls in p.parts):
         raise ContractError("partition must contain only K1 and K2 parts")
+    return _label_partition(t, p)
 
+
+def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
+    """swap_set_from_partition without its checks of t and p."""
     part_of = p.part_of()
     k2_edge = {i: (c, ls[0]) for i, (c, ls) in enumerate(p.parts) if ls}
     label: dict[int, str] = {}  # vertex -> "D" | "D'"
@@ -471,17 +492,59 @@ def swap_set_from_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     return SwapCertificate.build(d, d_prime, matching)
 
 
+def _tree_result(t: Graph, partition: StarPartition) -> DdmResult:
+    """The verified certificate of a weak tree from its minimum partition."""
+    cert = _label_partition(t, partition)
+    if not verify_certificate(t, cert) or cert.size() != partition.weight:
+        raise AssertionError("tree certificate construction failed")
+    return finite_result(cert)
+
+
 def dd_m_tree(t: Graph) -> DdmResult:
     """Swap number of a non-trivial tree: infinite iff the tree is strong,
     otherwise S(t) with a certificate built from a minimum partition."""
-    _require_nontrivial_tree(t)
-    if not is_weak_tree(t):
+    red = _reduce_nontrivial(t)
+    if red.removed:
         return DdmResult(INFINITE)
-    weight, partition = s_weight(t)
-    cert = swap_set_from_partition(t, partition)
-    if not verify_certificate(t, cert) or cert.size() != weight:
-        raise AssertionError("tree certificate construction failed")
-    return finite_result(cert)
+    return _tree_result(t, _min_partition(red)[1])
+
+
+@dataclass(frozen=True)
+class TreeAnalysis:
+    """Everything `swapsets tree` reports about a non-trivial tree, from one
+    tree check, one weak reduction and one partition DP."""
+
+    n: int
+    reduction: WeakReduction
+    reduced_weight: int  # S(T') of the weak reduction T'
+    partition: StarPartition  # a minimum simple star partitioning of T
+    result: DdmResult
+    four_way_equality: bool
+
+    def to_json_dict(self) -> dict:
+        weak = not self.reduction.removed
+        return {
+            "n": self.n,
+            "is_weak": weak,
+            "s_weight": self.partition.weight,
+            "partition": self.partition.to_json_dict(),
+            "reduction_removed": len(self.reduction.removed),
+            "result": self.result.to_json_dict(),
+            "gamma_equals_alpha": self.four_way_equality,
+            "alpha_equals_swap_number": weak and 2 * self.partition.weight == self.n,
+            "alpha_equals_eviction": 2 * self.reduced_weight == self.reduction.reduced.n,
+        }
+
+
+def analyse_tree(t: Graph) -> TreeAnalysis:
+    """S(T), its partition, the swap number and the equality flags of a
+    non-trivial tree, each derived from a single DP on the weak reduction:
+    the tree is weak iff the reduction removed nothing, alpha = DD_m iff it
+    is weak with 2 S(T) = n, and alpha = eviction iff 2 S(T') = |T'|."""
+    red = _reduce_nontrivial(t)
+    w_red, partition = _min_partition(red)
+    result = DdmResult(INFINITE) if red.removed else _tree_result(t, partition)
+    return TreeAnalysis(t.n, red, w_red, partition, result, _is_hat(t))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +562,11 @@ def four_way_equality(t: Graph) -> bool:
     Exactly these trees have gamma = eviction = swap number = independence
     number all equal."""
     _require_nontrivial_tree(t)
+    return _is_hat(t)
+
+
+def _is_hat(t: Graph) -> bool:
+    """four_way_equality without its tree check."""
     if t.n == 2:
         return True
     if t.n % 2:
@@ -517,28 +585,34 @@ def four_way_equality(t: Graph) -> bool:
 def alpha_equals_ddm(t: Graph) -> bool:
     """True iff the independence number equals the swap number: the tree is
     weak and S(t) is half the order."""
-    _require_nontrivial_tree(t)
-    return is_weak_tree(t) and 2 * s_weight(t)[0] == t.n
+    red = _reduce_nontrivial(t)
+    return not red.removed and 2 * _weak_partition_dp(t)[0] == t.n
 
 
 def alpha_equals_eviction(t: Graph) -> bool:
     """True iff the independence number equals the eviction number, decided
     through the weak reduction: S(T') must be half of |V(T')|."""
-    _require_nontrivial_tree(t)
-    red = weak_reduction(t)
-    w_red, _ = _weak_partition_dp(red.reduced)
-    return 2 * w_red == red.reduced.n
+    red = _reduce_nontrivial(t)
+    return 2 * _weak_partition_dp(red.reduced)[0] == red.reduced.n
 
 
 # ---------------------------------------------------------------------------
 # tree enumeration (test scaffolding, n <= 10 intended)
 
 def _ahu_key(t: Graph, root: int) -> str:
-    def encode(v: int, parent: int) -> str:
-        subs = sorted(encode(u, v) for u in t.neighbors(v) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return encode(root, -1)
+    """Rooted canonical encoding: each vertex is "(" + its children's
+    encodings, sorted + ")", built bottom-up along a walk from root."""
+    parent = [-1] * t.n
+    order = [root]
+    for v in order:
+        for u in t.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    subs: list[list[str]] = [[] for _ in range(t.n)]
+    for v in reversed(order[1:]):
+        subs[parent[v]].append("(" + "".join(sorted(subs[v])) + ")")
+    return "(" + "".join(sorted(subs[root])) + ")"
 
 
 def tree_canonical_key(t: Graph) -> str:

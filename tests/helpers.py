@@ -128,3 +128,112 @@ def star_partition_weight_oracle(t: Graph):
 
     extend(0, [])
     return best[0]
+
+
+def star_partition_order2_oracle(t: Graph):
+    """The quadratic greedy that star_partition_order2 speeds up: rescan every
+    remaining vertex for the deepest stem whose remaining children are all
+    leaves (lowest index among equals), cut it off with them, and let a lone
+    root join a neighboring part.  Returns the StarPartition."""
+    from swapsets import StarPartition
+
+    parent, depth, order = [-1] * t.n, [0] * t.n, [0]
+    seen = {0}
+    for v in order:
+        for u in t.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                parent[u], depth[u] = v, depth[v] + 1
+                order.append(u)
+    remaining = set(range(t.n))
+    live_children = {v: {u for u in range(t.n) if parent[u] == v} for v in range(t.n)}
+    parts = []
+    while remaining:
+        if len(remaining) == 1:
+            (r,) = remaining
+            for idx, (c, leaves) in enumerate(parts):
+                if t.has_edge(r, c):
+                    leaves.append(r)
+                    break
+                if len(leaves) == 1 and t.has_edge(r, leaves[0]):
+                    parts[idx] = (leaves[0], [c, r])
+                    break
+            else:
+                raise AssertionError("lone root could not join any star part")
+            break
+        stems = [v for v in remaining
+                 if live_children[v] and all(not live_children[c] for c in live_children[v])]
+        v = max(stems, key=lambda x: (depth[x], -x))
+        members = sorted(live_children[v])
+        parts.append((v, members))
+        for x in [v, *members]:
+            remaining.discard(x)
+        if parent[v] != -1:
+            live_children[parent[v]].discard(v)
+    return StarPartition.build(parts)
+
+
+def full_board_problems(m: int, n: int, black: set, white: set) -> set:
+    """Every problem cell of a token board, found by scanning the whole board:
+    blocked or colliding moves, and cells undominated before or after."""
+    d = black | white
+    problems = set()
+    targets = {}
+    for (i, j) in sorted(d):
+        t = (i + 1, j) if (i, j) in black else (i - 1, j)
+        if not (1 <= t[0] <= m and 1 <= t[1] <= n):
+            problems.add((i, j))
+            continue
+        if t in d:
+            problems.update({(i, j), t})
+        if t in targets:
+            problems.update({(i, j), targets[t]})
+        else:
+            targets[t] = (i, j)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            closed = ((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+            if not any(c in d for c in closed):
+                problems.add((i, j))
+            if not any(c in targets for c in closed):
+                problems.add((i, j))
+    return problems
+
+
+def repair_corners_full_recheck(m: int, n: int, black: set, white: set, size_cap: int):
+    """The corner repair with a whole-board re-check of every candidate edit:
+    the first candidate in the library's order that clears the corner's
+    problems without adding any elsewhere is kept."""
+    from itertools import combinations
+
+    from swapsets.grid_constructions import _apply_ops, _corner_ops
+
+    problems = full_board_problems(m, n, black, white)
+
+    def near(cell, corner, radius):
+        return max(abs(cell[0] - corner[0]), abs(cell[1] - corner[1])) <= radius
+
+    for corner in ((m, 1), (1, n), (m, n), (1, 1)):
+        if not any(near(p, corner, 4) for p in problems):
+            continue
+        ci, cj = corner
+        box = sorted((i, j)
+                     for i in range(max(1, ci - 2), min(m, ci + 2) + 1)
+                     for j in range(max(1, cj - 2), min(n, cj + 2) + 1))
+        singles = _corner_ops(box, black, white)
+        candidates = [[op] for op in singles]
+        candidates += [[a, b] for a, b in combinations(singles, 2) if a[1] != b[1]]
+        for cand in candidates:
+            nb, nw = _apply_ops(cand, black, white)
+            if len(nb) + len(nw) > size_cap:
+                continue
+            remaining = full_board_problems(m, n, nb, nw)
+            if any(near(p, corner, 4) for p in remaining) or not remaining <= problems:
+                continue
+            black, white, problems = nb, nw, remaining
+            break
+        else:
+            raise AssertionError(f"no local repair found at corner {corner}")
+    if problems:
+        raise AssertionError(f"unrepaired cells remain: {sorted(problems)}")
+    return black, white

@@ -2,9 +2,24 @@ import json
 import subprocess
 import sys
 
+import random
+
 import pytest
 
-from swapsets import SwapCertificate, format_graph, path_graph
+from swapsets import (
+    Graph,
+    SwapCertificate,
+    alpha_equals_ddm,
+    alpha_equals_eviction,
+    dd_m_tree,
+    format_graph,
+    four_way_equality,
+    is_weak_tree,
+    path_graph,
+    s_weight,
+    tree_algorithms,
+    weak_reduction,
+)
 from swapsets.cli import load_graph, run
 
 
@@ -17,6 +32,39 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def _random_tree(n: int, weak: bool) -> Graph:
+    """A random recursive tree on n vertices; for a weak one, a random tree
+    on n - k vertices gets one pendant leaf on each of k vertices that
+    include all of its leaves, so no vertex has two leaf neighbors."""
+    rng = random.Random(2000)
+    if not weak:
+        return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    core = 1200
+    edges = [(rng.randrange(v), v) for v in range(1, core)]
+    has_child = {u for u, _ in edges}
+    leaves = [v for v in range(1, core) if v not in has_child]
+    inner = [v for v in range(core) if v in has_child]
+    hatted = leaves + rng.sample(inner, n - core - len(leaves))
+    edges += [(v, core + i) for i, v in enumerate(sorted(hatted))]
+    return Graph(n, edges)
+
+
+def _separate_payload(t: Graph) -> dict:
+    """The `tree` payload assembled from the separate public functions."""
+    weight, partition = s_weight(t)
+    return json.loads(json.dumps({
+        "n": t.n,
+        "is_weak": is_weak_tree(t),
+        "s_weight": weight,
+        "partition": partition.to_json_dict(),
+        "reduction_removed": len(weak_reduction(t).removed),
+        "result": dd_m_tree(t).to_json_dict(),
+        "gamma_equals_alpha": four_way_equality(t),
+        "alpha_equals_swap_number": alpha_equals_ddm(t),
+        "alpha_equals_eviction": alpha_equals_eviction(t),
+    }))
 
 
 class TestLoadGraph:
@@ -122,6 +170,27 @@ class TestTree:
     def test_non_tree_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "tree", "c5")
         assert code == 2
+
+    @pytest.mark.parametrize("weak", [True, False])
+    def test_one_tree_check_and_reduction(self, capsys, monkeypatch, tmp_path, weak):
+        t = _random_tree(2000, weak)
+        assert is_weak_tree(t) == weak
+        expected = _separate_payload(t)
+        path = tmp_path / "t.edges"
+        path.write_text(format_graph(t))
+        calls = {"is_tree": 0, "weak_reduction": 0}
+        for name in calls:
+            original = getattr(tree_algorithms, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tree_algorithms, name, counted)
+        code, obj = run_json(capsys, "tree", str(path))
+        assert code == 0
+        assert calls == {"is_tree": 1, "weak_reduction": 1}
+        assert obj == expected
 
 
 class TestConstruct:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +86,30 @@ class TestGraphBasics:
         assert hash(path_graph(3)) == hash(Graph(3, [(1, 2), (0, 1)]))
         assert path_graph(3) != cycle_graph(3)
 
+    @settings(derandomize=True, max_examples=40)
+    @given(random_graphs(max_n=9))
+    def test_adjacency_and_masks_agree_with_edges(self, g):
+        edges = set(g.edges)
+        for v in range(g.n):
+            nbrs = g.neighbors(v)
+            assert list(nbrs) == sorted(u for u in range(g.n) if (min(u, v), max(u, v)) in edges)
+            assert g.open_mask(v) == sum(1 << u for u in nbrs)
+            assert g.closed_mask(v) == g.open_mask(v) | 1 << v
+            assert all(g.has_edge(v, u) == (u in nbrs) for u in range(g.n))
+
+    def test_build_memory_is_linear(self):
+        # the per-vertex masks (n bits each) are not built until asked for,
+        # so a graph costs O(n + m) bytes
+        for build in (lambda: grid_graph(200, 200), lambda: path_graph(40_000)):
+            tracemalloc.start()
+            try:
+                g = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert g.n == 40_000
+            assert peak < 2048 * g.n
+
 
 class TestParseFormat:
     def test_round_trip(self):
@@ -148,6 +174,14 @@ class TestPredicates:
         assert is_independent(g, [0, 2])
         assert not is_independent(g, [0, 1])
 
+    def test_vertex_range_checked(self):
+        g = path_graph(4)
+        for check in (is_dominating, is_independent):
+            with pytest.raises(ValueError, match="vertex 4 out of range"):
+                check(g, [1, 4])
+        with pytest.raises(ValueError):
+            matching_between(g, [0], [-1])
+
     def test_connectivity(self):
         assert is_connected(path_graph(6))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
@@ -183,6 +217,18 @@ class TestMatching:
     def test_no_matching(self):
         g = star_graph(3)
         assert matching_between(g, [1, 2], [0, 3]) is None
+
+    def test_long_augmenting_path_within_recursion_limit(self):
+        # a_i = 2i+1 and b_j = 2j; a_i takes b_i first, so the last a-vertex,
+        # whose only partner is b_0, needs an augmenting path through all of them
+        k = 2000
+        a, b = [2 * i + 1 for i in range(k)], [2 * j for j in range(k)]
+        edges = [(a[i], b[i]) for i in range(k - 1)]
+        edges += [(a[i], b[i + 1]) for i in range(k - 1)]
+        edges.append((a[k - 1], b[0]))
+        g = Graph(2 * k, edges)
+        expected = tuple((a[i], b[i + 1]) for i in range(k - 1)) + ((a[k - 1], b[0]),)
+        assert matching_between(g, a, b) == expected
 
     def test_lex_least_is_least(self):
         g = cycle_graph(4)

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import repair_corners_full_recheck
 from swapsets import (
     ContractError,
     TokenBoard,
@@ -12,7 +13,8 @@ from swapsets import (
     perfect_dom_member,
     verify_certificate,
 )
-from swapsets.grid_constructions import GridSpec
+from swapsets import grid_constructions
+from swapsets.grid_constructions import GridSpec, _base_board
 
 
 class TestPerfectDomination:
@@ -83,6 +85,16 @@ class TestGridConstruction:
         with pytest.raises(ContractError):
             grid_swap_construct(8, 9)
 
+    def test_windowed_repair_matches_full_recheck(self):
+        for n in range(8, 21):
+            for m in range(n, 21):
+                _, cert, board = grid_swap_construct(m, n)
+                cap = (n + 2) * (m + 3) // 5
+                black, white = repair_corners_full_recheck(m, n, *_base_board(m, n), cap)
+                assert (board.black, board.white) == (black, white), (m, n)
+                spec = GridSpec(m, n)
+                assert cert.d == {spec.vertex(*c) for c in black | white}
+
     def test_board_matches_certificate(self):
         g, cert, board = grid_swap_construct(10, 9)
         spec = GridSpec(10, 9)
@@ -136,6 +148,18 @@ class TestGammaGridDp:
     def test_row_cap(self):
         with pytest.raises(ContractError):
             gamma_grid_dp(9, 4)
+
+    def test_answers_independent_of_call_order(self, monkeypatch):
+        cols = list(range(1, 11))
+        interleaved = cols[::2] + cols[1::2][::-1]
+        answers = []
+        for order in (cols, cols[::-1], interleaved):
+            monkeypatch.setattr(grid_constructions, "_SWEEPS", {})
+            answers.append({(r, c): gamma_grid_dp(r, c) for c in order for r in range(1, 9)})
+        assert answers[0] == answers[1] == answers[2]
+        for (r, c), gamma in answers[0].items():
+            if r * c <= 30:
+                assert gamma == domination_number(grid_graph(c, r)), (r, c)
 
 
 class TestDensityReport:

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+
+from helpers import star_partition_order2_oracle
 
 from swapsets import (
     ContractError,
     FINITE,
+    Graph,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -88,6 +93,19 @@ class TestStarPartitionOrder2:
         count, widest = partition_stats(partition)
         assert count == len(partition.parts)
         assert widest == max(len(ls) for _, ls in partition.parts)
+
+    @settings(derandomize=True, max_examples=40)
+    @given(random_trees())
+    def test_matches_quadratic_greedy(self, t):
+        assert star_partition_order2(t) == star_partition_order2_oracle(t)
+
+    def test_matches_quadratic_greedy_on_all_small_and_one_large_tree(self):
+        for n in range(2, 10):
+            for t in enumerate_trees(n):
+                assert star_partition_order2(t) == star_partition_order2_oracle(t)
+        rng = random.Random(7)
+        t = Graph(3000, [(rng.randrange(v), v) for v in range(1, 3000)])
+        assert star_partition_order2(t) == star_partition_order2_oracle(t)
 
     @settings(derandomize=True, max_examples=40)
     @given(random_trees())

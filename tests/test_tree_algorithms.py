@@ -296,3 +296,8 @@ class TestEnumeration:
 
     def test_canonical_key_separates(self):
         assert tree_canonical_key(path_graph(4)) != tree_canonical_key(star_graph(3))
+
+    def test_deep_path_key_within_recursion_limit(self):
+        # P_3001 rooted at its center: two 1500-vertex chains under the root
+        chain = "(" * 1500 + ")" * 1500
+        assert tree_canonical_key(path_graph(3001)) == "(" + chain + chain + ")"
