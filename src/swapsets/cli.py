@@ -27,7 +27,6 @@ from .graph_core import (
     cycle_graph,
     format_graph,
     grid_graph,
-    independence_number,
     parse_graph,
     path_graph,
     star_graph,
@@ -136,53 +135,50 @@ def _cmd_gamma_dp(args) -> int:
 
 
 def _scan_alpha2(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import alpha2_swap, canonical_id, enumerate_connected_graphs
+    from .small_alpha import alpha2_swap, census
 
     checked = 0
     failures = []
-    for n in range(4, max_n + 1):
-        for g in enumerate_connected_graphs(n):
-            if independence_number(g) != 2:
-                continue
-            checked += 1
-            try:
-                cert = alpha2_swap(g)
-                ok = verify_certificate(g, cert) and cert.size() <= 2
-            except AssertionError:
-                ok = False
-            if not ok:
-                failures.append({"graph_id": canonical_id(g),
-                                 "graph": format_graph(g)})
+    for rec in census(max_n):
+        if rec.n < 4 or rec.alpha != 2:
+            continue
+        checked += 1
+        try:
+            cert = alpha2_swap(rec.graph)
+            ok = verify_certificate(rec.graph, cert) and cert.size() <= 2
+        except AssertionError:
+            ok = False
+        if not ok:
+            failures.append({"graph_id": rec.graph_id,
+                             "graph": format_graph(rec.graph)})
     out = {"scan": "alpha2", "max_n": max_n, "checked": checked,
            "failures": failures}
     return out, (1 if failures else 0)
 
 
 def _scan_alpha3(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import (alpha3_bound_check, alpha3_swap_with_stage,
-                              canonical_id, enumerate_connected_graphs)
+    from .small_alpha import alpha3_bound_check, alpha3_swap_with_stage, census
 
     checked = 0
     stages: dict = {}
     no_swap = []
     unverified = 0
-    for n in range(6, max_n + 1):
-        for g in enumerate_connected_graphs(n):
-            if independence_number(g) != 3:
-                continue
-            checked += 1
-            try:
-                cert, stage = alpha3_swap_with_stage(g)
-            except AssertionError:
-                no_swap.append({"graph_id": canonical_id(g),
-                                "graph": format_graph(g)})
-                continue
-            if not verify_certificate(g, cert):
-                print(f"error: {stage} certificate for graph {canonical_id(g)} "
-                      "failed verification", file=sys.stderr)
-                unverified += 1
-                continue
-            stages[stage] = stages.get(stage, 0) + 1
+    for rec in census(max_n):
+        if rec.n < 6 or rec.alpha != 3:
+            continue
+        checked += 1
+        try:
+            cert, stage = alpha3_swap_with_stage(rec.graph)
+        except AssertionError:
+            no_swap.append({"graph_id": rec.graph_id,
+                            "graph": format_graph(rec.graph)})
+            continue
+        if not verify_certificate(rec.graph, cert):
+            print(f"error: {stage} certificate for graph {rec.graph_id} "
+                  "failed verification", file=sys.stderr)
+            unverified += 1
+            continue
+        stages[stage] = stages.get(stage, 0) + 1
     bound = alpha3_bound_check(max_n)
     out = {
         "scan": "alpha3", "max_n": max_n, "checked": checked,

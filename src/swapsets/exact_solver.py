@@ -110,20 +110,6 @@ def _neighborhood_mask(g: Graph, mask: int) -> int:
     return out
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self) -> bool:
-        """Consume one unit; False once exhausted."""
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        return True
-
-
 def _certificate_for(g: Graph, d_mask: int, dp_mask: int) -> SwapCertificate:
     d = members_of(d_mask)
     dp = members_of(dp_mask)
@@ -133,31 +119,23 @@ def _certificate_for(g: Graph, d_mask: int, dp_mask: int) -> SwapCertificate:
     return SwapCertificate.build(d, dp, matching)
 
 
-def swap_pair_search(g: Graph, k: int, budget: _Budget) -> tuple[int, int] | str | None:
-    """First (d_mask, dp_mask) swap pair of size k in lexicographic order,
-    None if none exists, or "budget" if the budget ran out first."""
-    for d_mask in dominating_sets_lex(g, k):
-        allowed = _neighborhood_mask(g, d_mask) & ~d_mask
-        if allowed.bit_count() < k:
-            continue
-        for dp_mask in dominating_sets_lex(g, k, allowed):
-            if not budget.spend():
-                return "budget"
-            if matching_between(g, members_of(d_mask), members_of(dp_mask)) is not None:
-                return d_mask, dp_mask
-    return None
-
-
 def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
     """Lexicographically least swap pair at the least k in ks: finite with
-    its certificate, infinite when no k in ks has one, or budget_exceeded."""
-    budget = _Budget(node_budget)
+    its certificate, infinite when no k in ks has one, or budget_exceeded
+    once node_budget candidate D' sets, counted across all k, are spent."""
+    spent = 0
     for k in ks:
-        found = swap_pair_search(g, k, budget)
-        if found == "budget":
-            return DdmResult(BUDGET_EXCEEDED)
-        if found is not None:
-            return finite_result(_certificate_for(g, *found))
+        for d_mask in dominating_sets_lex(g, k):
+            allowed = _neighborhood_mask(g, d_mask) & ~d_mask
+            if allowed.bit_count() < k:
+                continue
+            d = members_of(d_mask)
+            for dp_mask in dominating_sets_lex(g, k, allowed):
+                if spent >= node_budget:
+                    return DdmResult(BUDGET_EXCEEDED)
+                spent += 1
+                if matching_between(g, d, members_of(dp_mask)) is not None:
+                    return finite_result(_certificate_for(g, d_mask, dp_mask))
     return DdmResult(INFINITE)
 
 

@@ -482,10 +482,14 @@ def verify_certificate(g: Graph, cert: SwapCertificate) -> bool:
 # ---------------------------------------------------------------------------
 # independence and domination numbers
 
-def independence_number(g: Graph, max_n: int = 40) -> int:
+MAX_INDEPENDENCE_N = 40
+MAX_DOMINATION_N = 30
+
+
+def independence_number(g: Graph) -> int:
     """Exact maximum independent set size by branch and bound."""
-    if g.n > max_n:
-        raise BudgetError(f"independence_number capped at n={max_n}, got n={g.n}")
+    if g.n > MAX_INDEPENDENCE_N:
+        raise BudgetError(f"independence_number capped at n={MAX_INDEPENDENCE_N}, got n={g.n}")
     best = 0
 
     def grow(candidates: int, size: int) -> None:
@@ -541,10 +545,10 @@ def has_dominating_set(g: Graph, k: int) -> bool:
     return _exists_dominating(g, k)
 
 
-def domination_number(g: Graph, max_n: int = 30) -> int:
+def domination_number(g: Graph) -> int:
     """Exact domination number by increasing-cardinality search."""
-    if g.n > max_n:
-        raise BudgetError(f"domination_number capped at n={max_n}, got n={g.n}")
+    if g.n > MAX_DOMINATION_N:
+        raise BudgetError(f"domination_number capped at n={MAX_DOMINATION_N}, got n={g.n}")
     if g.n == 0:
         return 0
     lb = -(-g.n // max(m.bit_count() for m in g._closed))

@@ -279,8 +279,13 @@ def _lt(a, b) -> bool:
     return a < b
 
 
-def product_question_scan(max_vertices: int, exact_threshold: int = 12,
-                          pair_budget: int = 2_000_000) -> ProductScanReport:
+# products up to this many vertices get their exact swap number tabulated
+EXACT_PRODUCT_N = 12
+# candidate pairs one bounded threshold search may examine
+PAIR_BUDGET = 2_000_000
+
+
+def product_question_scan(max_vertices: int) -> ProductScanReport:
     """Test both conjectured lower bounds for DD_m of products, exhaustively
     over unordered pairs of connected non-trivial factors with
     |V(g)| * |V(h)| <= max_vertices.
@@ -288,29 +293,21 @@ def product_question_scan(max_vertices: int, exact_threshold: int = 12,
     The gamma*gamma verdict is always exact: a violation needs a swap pair
     smaller than gamma(g)*gamma(h), and the bounded search below that value
     is certified either way.  Exact DD_m of the product is tabulated when the
-    product has at most exact_threshold vertices; above that the table shows
+    product has at most EXACT_PRODUCT_N vertices; above that the table shows
     a bracket [known lower .. construction size].  The min-expression verdict
     degrades to "unknown" only if its bounded search runs out of budget.
     """
-    from .small_alpha import canonical_id, enumerate_connected_graphs
+    from .small_alpha import MAX_CENSUS_N, census
 
-    factors: list[Graph] = []
-    n = 2
-    while n <= 8 and n * 2 <= max_vertices:
-        factors.extend(enumerate_connected_graphs(n))
-        n += 1
+    factors = [r for r in census(min(max_vertices // 2, MAX_CENSUS_N)) if r.n >= 2]
     report = ProductScanReport(max_vertices)
-    factor_info = {}
-    for g in factors:
-        r = dd_m_exact(g)
-        factor_info[g] = (canonical_id(g), domination_number(g),
-                          r.k if r.status == FINITE else "infinity")
-    for i, g in enumerate(factors):
-        for h in factors[i:]:
+    for i, a in enumerate(factors):
+        for b in factors[i:]:
+            g, h = a.graph, b.graph
             if g.n * h.n > max_vertices:
                 continue
-            g_id, gamma_g, ddm_g = factor_info[g]
-            h_id, gamma_h, ddm_h = factor_info[h]
+            g_id, gamma_g, ddm_g = a.graph_id, a.gamma, a.ddm
+            h_id, gamma_h, ddm_h = b.graph_id, b.gamma, b.ddm
             product, cert = product_swap_general(g, h)
             upper = cert.size()
             gg = gamma_g * gamma_h
@@ -320,7 +317,7 @@ def product_question_scan(max_vertices: int, exact_threshold: int = 12,
             ddm_val = None
             violation = "none"
             counterexample_cert = None
-            if product.n <= exact_threshold:
+            if product.n <= EXACT_PRODUCT_N:
                 res = dd_m_exact(product)
                 if res.status != FINITE:  # the construction guarantees a pair
                     raise AssertionError("exact solver missed the constructed pair")
@@ -335,7 +332,7 @@ def product_question_scan(max_vertices: int, exact_threshold: int = 12,
                 if has_dominating_set(product, gg - 1):
                     # the domination number alone no longer rules a pair out
                     lo = domination_number(product)
-                    found = swap_pair_below(product, gg, node_budget=pair_budget)
+                    found = swap_pair_below(product, gg, node_budget=PAIR_BUDGET)
                     if found.status == FINITE:
                         violation = "gg"
                         counterexample_cert = found.certificate
@@ -349,7 +346,7 @@ def product_question_scan(max_vertices: int, exact_threshold: int = 12,
                     elif min_expr != "infinity" and min_expr > gg and \
                             has_dominating_set(product, min_expr - 1):
                         found = swap_pair_below(product, min_expr,
-                                                node_budget=pair_budget)
+                                                node_budget=PAIR_BUDGET)
                         if found.status == FINITE:
                             violation = "min"
                             counterexample_cert = found.certificate

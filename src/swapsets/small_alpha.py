@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .exact_solver import FINITE, dd_m_exact
@@ -121,33 +121,84 @@ def canonical_form(g: Graph) -> int:
     return best if best is not None else 0
 
 
+def _graph_id(n: int, code: int) -> str:
+    return f"{n}-{code:x}"
+
+
 def canonical_id(g: Graph) -> str:
-    return f"{g.n}-{canonical_form(g):x}"
+    return _graph_id(g.n, canonical_form(g))
+
+
+# ---------------------------------------------------------------------------
+# the census of small connected graphs
+
+MAX_CENSUS_N = 8
+
+
+@dataclass
+class CensusRecord:
+    """One isomorphism class of connected graphs: its representative and
+    id, with alpha, gamma and the swap number computed on first use."""
+
+    graph: Graph
+    graph_id: str
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @cached_property
+    def alpha(self) -> int:
+        return independence_number(self.graph)
+
+    @cached_property
+    def gamma(self) -> int:
+        return domination_number(self.graph)
+
+    @cached_property
+    def ddm(self) -> int | str:
+        """The swap number, or "infinity" when no swap pair exists."""
+        result = dd_m_exact(self.graph)
+        return result.k if result.status == FINITE else "infinity"
+
+    @property
+    def cert_size(self) -> int | None:
+        """Size of the certificate behind ddm, None when there is none."""
+        return None if self.ddm == "infinity" else self.ddm
+
+
+def census(max_n: int) -> list[CensusRecord]:
+    """One record per isomorphism class of connected graphs on 1..max_n
+    vertices, ordered by n and then by canonical encoding.  Every exhaustive
+    scan is a filter over these records."""
+    if max_n > MAX_CENSUS_N:
+        raise BudgetError(f"census capped at n={MAX_CENSUS_N}, got n={max_n}")
+    return [rec for n in range(1, max_n + 1) for rec in _classes(n)]
 
 
 @lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[CensusRecord, ...]:
+    """The census records on exactly n vertices.  Generated by extending
+    each (n-1)-vertex class with a new vertex attached to every possible
+    neighborhood; every connected graph arises this way because it has a
+    non-cut vertex."""
+    if n == 1:
+        children = [Graph(1, [])]
+    else:
+        children = (Graph(n, [*parent.graph.edges, *((u, n - 1) for u in members_of(mask))])
+                    for parent in _classes(n - 1) for mask in range(1, 1 << (n - 1)))
+    out: dict[int, Graph] = {}
+    for child in children:
+        out.setdefault(canonical_form(child), child)
+    return tuple(CensusRecord(out[code], _graph_id(n, code)) for code in sorted(out))
+
+
 def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one per isomorphism class,
-    ordered by canonical encoding.  Generated by extending each (n-1)-vertex
-    class with a new vertex attached to every possible neighborhood; every
-    connected graph arises this way because it has a non-cut vertex."""
-    if n > 8:
-        raise BudgetError("enumeration capped at n=8")
+    ordered by canonical encoding."""
     if n < 1:
         raise ContractError("n must be positive")
-    if n == 1:
-        return (Graph(1, []),)
-    out = {}
-    for parent in enumerate_connected_graphs(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            edges = list(parent.edges)
-            for u in members_of(mask):
-                edges.append((u, n - 1))
-            child = Graph(n, edges)
-            key = canonical_form(child)
-            if key not in out:
-                out[key] = child
-    return tuple(out[k] for k in sorted(out))
+    return tuple(rec.graph for rec in census(n) if rec.n == n)
 
 
 def _lex_max_independent_set(g: Graph, alpha: int) -> tuple[int, ...]:
@@ -320,33 +371,19 @@ def alpha3_swap_exists(g: Graph) -> SwapCertificate:
 # scan reports
 
 @dataclass
-class GraphRecord:
-    graph_id: str
-    n: int
-    alpha: int
-    gamma: int
-    ddm: object  # int or "infinity"
-    cert_size: int | None = None
-    stage: str | None = None
-
-    def row(self) -> str:
-        size = "" if self.cert_size is None else str(self.cert_size)
-        stage = "" if self.stage is None else self.stage
-        return (f"{self.graph_id}\t{self.n}\t{self.alpha}\t{self.gamma}"
-                f"\t{self.ddm}\t{size}\t{stage}")
-
-
-@dataclass
 class ScanReport:
     n_range: tuple[int, int]
     filter_desc: str
-    records: list[GraphRecord] = field(default_factory=list)
+    records: list[CensusRecord] = field(default_factory=list)
     counterexamples: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def to_tsv(self) -> str:
+        # the stage column stays for readers of the format; it is always empty
         lines = ["graph_id\tn\talpha\tgamma\tddm\tcert_size\tstage"]
-        lines.extend(r.row() for r in self.records)
+        for r in self.records:
+            size = "" if r.cert_size is None else str(r.cert_size)
+            lines.append(f"{r.graph_id}\t{r.n}\t{r.alpha}\t{r.gamma}\t{r.ddm}\t{size}\t")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -356,7 +393,7 @@ class ScanReport:
             "records": [{
                 "graph_id": r.graph_id, "n": r.n, "alpha": r.alpha,
                 "gamma": r.gamma, "ddm": r.ddm, "cert_size": r.cert_size,
-                "stage": r.stage,
+                "stage": None,
             } for r in self.records],
             "counterexamples": self.counterexamples,
             "extras": self.extras,
@@ -366,34 +403,16 @@ class ScanReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _record_for(g: Graph) -> GraphRecord:
-    result = dd_m_exact(g)
-    return GraphRecord(
-        canonical_id(g), g.n, independence_number(g), domination_number(g),
-        result.k if result.status == FINITE else "infinity",
-        result.certificate.size() if result.status == FINITE else None)
-
-
 def alpha3_bound_check(scope_n: int) -> ScanReport:
     """Exhaustive check that every connected graph up to scope_n with
     independence number 3 and a swap set has swap number at most 3."""
-    if scope_n > 8:
-        raise BudgetError("scan capped at n=8")
-    report = ScanReport((1, scope_n), "alpha=3 with a swap set")
-    for n in range(1, scope_n + 1):
-        for g in enumerate_connected_graphs(n):
-            if independence_number(g) != 3:
-                continue
-            rec = _record_for(g)
-            if rec.ddm == "infinity":
-                continue
-            report.records.append(rec)
-            if rec.ddm > 3:
-                report.counterexamples.append({
-                    "graph": format_graph(g),
-                    "claim": "swap number exceeds independence number 3",
-                    "ddm": rec.ddm,
-                })
+    records = [r for r in census(scope_n) if r.alpha == 3 and r.ddm != "infinity"]
+    report = ScanReport((1, scope_n), "alpha=3 with a swap set", records)
+    report.counterexamples = [{
+        "graph": format_graph(r.graph),
+        "claim": "swap number exceeds independence number 3",
+        "ddm": r.ddm,
+    } for r in records if r.ddm > 3]
     return report
 
 
@@ -403,30 +422,25 @@ def conjecture_scan(scope_n: int) -> ScanReport:
     each independence number there is an order beyond which swap sets always
     exist.  Also evaluates the nine-vertex doubled-subdivided triangle that
     motivated the second conjecture's threshold discussion."""
-    if scope_n > 8:
-        raise BudgetError("scan capped at n=8")
-    report = ScanReport((1, scope_n), "all connected graphs")
+    report = ScanReport((1, scope_n), "all connected graphs", census(scope_n))
     no_swap: dict = {}
-    for n in range(1, scope_n + 1):
-        for g in enumerate_connected_graphs(n):
-            rec = _record_for(g)
-            report.records.append(rec)
-            if rec.ddm == "infinity":
-                entry = no_swap.setdefault(rec.alpha, {"max_n": 0, "count_at_max": 0,
-                                                       "example": None})
-                if n > entry["max_n"]:
-                    entry.update(max_n=n, count_at_max=1, example=rec.graph_id)
-                elif n == entry["max_n"]:
-                    entry["count_at_max"] += 1
-            elif rec.ddm > rec.alpha:
-                report.counterexamples.append({
-                    "graph": format_graph(g),
-                    "claim": "swap number exceeds independence number",
-                    "ddm": rec.ddm,
-                    "alpha": rec.alpha,
-                })
+    for rec in report.records:
+        if rec.ddm == "infinity":
+            entry = no_swap.setdefault(rec.alpha, {"max_n": 0, "count_at_max": 0,
+                                                   "example": None})
+            if rec.n > entry["max_n"]:
+                entry.update(max_n=rec.n, count_at_max=1, example=rec.graph_id)
+            elif rec.n == entry["max_n"]:
+                entry["count_at_max"] += 1
+        elif rec.ddm > rec.alpha:
+            report.counterexamples.append({
+                "graph": format_graph(rec.graph),
+                "claim": "swap number exceeds independence number",
+                "ddm": rec.ddm,
+                "alpha": rec.alpha,
+            })
     nine = subdivided_doubled_triangle()
-    nine_rec = _record_for(nine)
+    nine_rec = CensusRecord(nine, canonical_id(nine))
     report.extras["no_swap_table"] = no_swap
     report.extras["nine_vertex_example"] = {
         "graph_id": nine_rec.graph_id,

@@ -116,10 +116,17 @@ def validate_star_partition(t: Graph, p: StarPartition) -> tuple[str, ...]:
         for v in leaves:
             if not t.has_edge(c, v):
                 problems.append(f"leaf-not-adjacent-to-center:{v}-{c}")
-        for a_idx in range(len(leaves)):
-            for b_idx in range(a_idx + 1, len(leaves)):
-                if t.has_edge(leaves[a_idx], leaves[b_idx]):
-                    problems.append(f"part-not-a-star:{leaves[a_idx]}-{leaves[b_idx]}")
+        if len(leaves) < 2:
+            continue
+        # adjacent leaves, in the order of a scan over all leaf pairs
+        positions: dict[int, list[int]] = {}
+        for b_idx, v in enumerate(leaves):
+            positions.setdefault(v, []).append(b_idx)
+        for a_idx, v in enumerate(leaves):
+            if 0 <= v < t.n:
+                for b_idx in sorted(b for u in t.neighbors(v)
+                                    for b in positions.get(u, ()) if b > a_idx):
+                    problems.append(f"part-not-a-star:{v}-{leaves[b_idx]}")
     if len(seen) != t.n:
         missing = sorted(set(range(t.n)) - set(seen))
         if missing:

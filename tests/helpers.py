@@ -130,6 +130,18 @@ def star_partition_weight_oracle(t: Graph):
     return best[0]
 
 
+def part_not_a_star_oracle(t: Graph, p) -> list[str]:
+    """The part-not-a-star problems of validate_star_partition, found by
+    testing every pair of leaves of each part for adjacency."""
+    problems = []
+    for _, leaves in p.parts:
+        for a_idx in range(len(leaves)):
+            for b_idx in range(a_idx + 1, len(leaves)):
+                if t.has_edge(leaves[a_idx], leaves[b_idx]):
+                    problems.append(f"part-not-a-star:{leaves[a_idx]}-{leaves[b_idx]}")
+    return problems
+
+
 def star_partition_order2_oracle(t: Graph):
     """The quadratic greedy that star_partition_order2 speeds up: rescan every
     remaining vertex for the deepest stem whose remaining children are all

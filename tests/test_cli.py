@@ -270,6 +270,23 @@ class TestScan:
         code, obj = run_json(capsys, "scan", "products", "--max-n", "8")
         assert code == 0 and obj["gamma_gamma_violations"] == 0
 
+    def test_scan_caps_fail_before_work(self):
+        # a fresh process, so no enumeration is cached from earlier tests
+        script = (
+            "import sys\n"
+            "import swapsets.small_alpha as small_alpha\n"
+            "from swapsets.cli import run\n"
+            "calls = []\n"
+            "real = small_alpha.canonical_form\n"
+            "small_alpha.canonical_form = lambda g: calls.append(1) or real(g)\n"
+            "codes = [run(['scan', kind, '--max-n', '9'])\n"
+            "         for kind in ('alpha2', 'alpha3', 'conjectures')]\n"
+            "sys.stdout.write(repr((codes, len(calls))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.stdout == repr(([3, 3, 3], 0)), proc.stderr
+
     def test_negative_budget_is_usage_error(self, capsys):
         assert run_cli(capsys, "scan", "alpha2", "--max-n", "-2")[0] == 2
 

@@ -7,8 +7,10 @@ from swapsets import (
     ContractError,
     DdmResult,
     FINITE,
+    Graph,
     INFINITE,
     SwapCertificate,
+    canonical_id,
     complete_graph,
     cycle_graph,
     dd_m_exact,
@@ -95,6 +97,18 @@ class TestBudget:
 
     def test_large_budget_finishes(self):
         assert dd_m_exact(cycle_graph(4), node_budget=10).status == FINITE
+
+    def test_budget_counts_candidate_partner_sets_across_k(self):
+        # one unit per candidate D' set: the strong graph 6-818a04 has six,
+        # all at k = 3, and no pair
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
+        assert canonical_id(g) == "6-818a04"
+        assert dd_m_exact(g, node_budget=5, use_strong_shortcut=False).status == BUDGET_EXCEEDED
+        assert dd_m_exact(g, node_budget=6, use_strong_shortcut=False).status == INFINITE
+        # the first candidate pair of the nine-vertex graph is its certificate
+        nine = subdivided_doubled_triangle()
+        assert dd_m_exact(nine, node_budget=0).status == BUDGET_EXCEEDED
+        assert dd_m_exact(nine, node_budget=1).status == FINITE
 
 
 class TestStrongShortcut:

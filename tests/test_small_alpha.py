@@ -13,10 +13,12 @@ from swapsets import (
     alpha3_swap_with_stage,
     canonical_form,
     canonical_id,
+    census,
     complete_graph,
     conjecture_scan,
     cycle_graph,
     dd_m_exact,
+    domination_number,
     enumerate_connected_graphs,
     independence_number,
     is_connected,
@@ -25,6 +27,7 @@ from swapsets import (
     star_graph,
     verify_certificate,
 )
+import swapsets.small_alpha as small_alpha
 from test_graph_core import random_graphs
 
 STRONG_STEM_EXAMPLE = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
@@ -77,6 +80,46 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         assert enumerate_connected_graphs(5) == enumerate_connected_graphs(5)
+
+
+class TestCensus:
+    def test_ids_and_order_match_enumeration(self):
+        records = census(7)
+        assert [r.graph_id for r in records] == [canonical_id(r.graph) for r in records]
+        assert [r.graph for r in records] == [
+            g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+
+    def test_invariants_match_direct_computation(self):
+        for r in census(6):
+            result = dd_m_exact(r.graph)
+            assert r.n == r.graph.n
+            assert r.alpha == independence_number(r.graph)
+            assert r.gamma == domination_number(r.graph)
+            assert r.ddm == (result.k if result.status == FINITE else "infinity")
+            assert r.cert_size == (result.certificate.size()
+                                   if result.status == FINITE else None)
+
+    def test_cap_checked_before_any_work(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("canonical_form called above the cap")
+
+        monkeypatch.setattr(small_alpha, "canonical_form", refuse)
+        for scan in (census, enumerate_connected_graphs, alpha3_bound_check,
+                     conjecture_scan):
+            with pytest.raises(BudgetError):
+                scan(9)
+
+    def test_scans_reuse_census_ids(self, monkeypatch):
+        calls = []
+        real = small_alpha.canonical_id
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(small_alpha, "canonical_id", counted)
+        conjecture_scan(6)
+        assert calls == [9]  # the nine-vertex example only
 
 
 class TestAlpha2Swap:

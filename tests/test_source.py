@@ -17,3 +17,20 @@ def test_no_assert_statements():
         found.extend(f"{path.name}:{node.lineno}"
                      for node in ast.walk(tree) if isinstance(node, ast.Assert))
     assert not found, found
+
+
+def test_census_is_the_only_enumeration():
+    """Scans filter `small_alpha.census`, whose records carry the graph ids
+    enumeration computed, so no other module enumerates or re-derives ids."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "small_alpha.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("enumerate_connected_graphs", "canonical_id"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found

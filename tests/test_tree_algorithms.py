@@ -1,7 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_alpha, brute_gamma, star_partition_weight_oracle
+from helpers import (
+    brute_alpha,
+    brute_gamma,
+    part_not_a_star_oracle,
+    star_partition_weight_oracle,
+)
 from swapsets import (
     ContractError,
     FINITE,
@@ -162,6 +169,40 @@ class TestStarPartitionShape:
         t = path_graph(3)
         bad = StarPartition.build([(0, [1]), (2, [])])
         assert any(v.startswith("k1-part-undersupported") for v in validate_star_partition(t, bad))
+
+
+    def test_star_check_matches_pairwise_oracle(self):
+        # random partitions of random trees, most of them invalid: leaves in
+        # any order, repeated, adjacent to each other or missing altogether
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            t = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            parts = []
+            while vertices:
+                group = [vertices.pop() for _ in range(min(len(vertices), rng.randint(1, 6)))]
+                group += rng.sample(range(n), rng.randint(0, 2))
+                parts.append((group[0], tuple(group[1:])))
+            p = StarPartition(tuple(parts), rng.randint(0, n))
+            found = [x for x in validate_star_partition(t, p)
+                     if x.startswith("part-not-a-star")]
+            assert found == part_not_a_star_oracle(t, p)
+
+    def test_validation_is_linear_on_a_wide_star(self, monkeypatch):
+        t = star_graph(4000)
+        _, partition = s_weight(t)
+        calls = []
+        real = Graph.has_edge
+
+        def counted(self, u, v):
+            calls.append(1)
+            return real(self, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counted)
+        assert validate_star_partition(t, partition) == ()
+        assert len(calls) <= t.n + t.edge_count()
 
 
 class TestSwapFromPartition:
