@@ -22,6 +22,7 @@ from .graph_core import (
     ContractError,
     Graph,
     GraphParseError,
+    MAX_GRAPH_N,
     SwapCertificate,
     certificate_violations,
     cycle_graph,
@@ -42,6 +43,11 @@ def load_graph(token: str) -> Graph:
     m = _GENERATORS.match(token)
     if m:
         p, c, k, gm, gn = m.groups()
+        n = (int(p) if p is not None else int(c) if c is not None
+             else int(k) + 1 if k is not None else int(gm) * int(gn))
+        if n > MAX_GRAPH_N:
+            raise ContractError(
+                f"graph token {token!r} has {n} vertices, above the cap of {MAX_GRAPH_N}")
         if p is not None:
             return path_graph(int(p))
         if c is not None:

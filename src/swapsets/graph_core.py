@@ -139,6 +139,11 @@ def members_of(mask: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # parsing and generators
 
+# largest vertex count read from outside the program (a file header or a
+# generator token), checked before anything is allocated for the graph
+MAX_GRAPH_N = 2_000_000
+
+
 def parse_graph(text: str) -> Graph:
     """Parse edge-list text: a header line "n m" then m lines "u v".
 
@@ -162,6 +167,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(line_no, f"non-integer header field in {raw!r}")
             if n < 0 or m < 0:
                 raise GraphParseError(line_no, "header counts must be nonnegative")
+            if n > MAX_GRAPH_N:
+                raise GraphParseError(
+                    line_no, f"header asks for {n} vertices, above the cap of {MAX_GRAPH_N}")
             header = (n, m)
             expected = m
             continue

@@ -4,11 +4,12 @@ small-graph scans.
 For a connected graph with independence number 2 (and more than three
 vertices) a swap pair of size two always exists and is built directly from
 a maximum independent set and two of its neighbors.  For independence
-number 3 (and at least six vertices) a swap set always exists; the
-construction here follows the same path as the existence argument, with a
-guaranteed exhaustive fallback for case branches the argument leaves
-implicit.  The same enumeration machinery drives empirical scans of two
-open conjectures.
+number 3 (and at least six vertices) a swap set exists iff the graph has no
+strong stem, a vertex with two or more pendant neighbors, which rules out
+every swap pair; the construction here follows the path of the existence
+argument, with an exhaustive fallback for case branches the argument leaves
+implicit.  The census of small connected graphs, generated by orbit-pruned
+vertex extension, drives empirical scans of two open conjectures.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .exact_solver import FINITE, dd_m_exact
 from .graph_core import (
@@ -41,38 +42,31 @@ from .graph_core import (
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration
 
-def _refine(g: Graph, colors: tuple) -> tuple:
+def _refine(adj: list, colors: list[int]) -> list[int]:
     """Stable partition refinement: a vertex's color absorbs the multiset of
-    its neighbors' colors until nothing changes."""
+    its neighbors' colors.  Returns the colors as ranks 0..k-1.
+
+    Each signature starts with the old color, so a pass only splits cells
+    and keeps their order.  A pass that splits nothing has ranked an
+    equitable partition, which the next pass would return unchanged, so the
+    loop stops there."""
+    count = len(set(colors))
     while True:
-        signatures = []
-        for v in range(g.n):
-            nbh = tuple(sorted(colors[u] for u in g.neighbors(v)))
-            signatures.append((colors[v], nbh))
+        signatures = [(colors[v], tuple(sorted([colors[u] for u in nbrs])))
+                      for v, nbrs in enumerate(adj)]
         palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        new = tuple(palette[s] for s in signatures)
-        if new == colors:
-            return new
-        colors = new
+        colors = [palette[s] for s in signatures]
+        if len(palette) == count:
+            return colors
+        count = len(palette)
 
 
-def _cells(colors: tuple) -> list[list[int]]:
-    buckets: dict = {}
+def _cells(colors: list[int]) -> list[list[int]]:
+    """The cells of a ranked coloring, in color order."""
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for v, c in enumerate(colors):
-        buckets.setdefault(c, []).append(v)
-    return [buckets[c] for c in sorted(buckets)]
-
-
-def _encode(g: Graph, perm: list[int]) -> int:
-    """Upper-triangle adjacency bits of g relabeled by perm, as an integer."""
-    pos = {v: i for i, v in enumerate(perm)}
-    bits = 0
-    for u, v in g.edges:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        bits |= 1 << (a * g.n + b)
-    return bits
+        cells[c].append(v)
+    return cells
 
 
 def _homogeneous(g: Graph, cell: list[int]) -> bool:
@@ -97,28 +91,66 @@ def canonical_form(g: Graph) -> int:
     Individualization-refinement: refine by color, split the first
     non-singleton cell on each of its vertices in turn, and take the minimum
     encoding over the discrete orderings reached.  Cells whose vertices are
-    provably interchangeable are split only once.
+    provably interchangeable are split only once.  The encoding sets bit
+    a*n + b for every edge whose endpoints sit at positions a < b.
     """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
     best = None
 
-    def descend(colors: tuple) -> None:
+    def descend(colors: list[int]) -> None:
         nonlocal best
-        colors = _refine(g, colors)
+        colors = _refine(adj, colors)
         cells = _cells(colors)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            perm = [v for cell in cells for v in cell]
-            code = _encode(g, perm)
+        if len(cells) == n:
+            # discrete: each vertex's color is its position
+            code = 0
+            for u, v in g.edges:
+                a, b = colors[u], colors[v]
+                code |= 1 << (a * n + b if a < b else b * n + a)
             if best is None or code < best:
                 best = code
             return
+        target = next(c for c in cells if len(c) > 1)
         branch = target[:1] if _homogeneous(g, target) else target
         for v in branch:
-            bumped = tuple(c + (0 if u != v else g.n * g.n) for u, c in enumerate(colors))
+            bumped = colors[:]
+            bumped[v] += n * n
             descend(bumped)
 
-    descend((0,) * g.n)
+    descend([0] * n)
     return best if best is not None else 0
+
+
+def _automorphisms(g: Graph) -> list[list[int]]:
+    """Every automorphism of g, as the list of vertex images.  An
+    automorphism maps each cell of the refined coloring onto itself, so only
+    the permutations within those cells are tried."""
+    cells = _cells(_refine([g.neighbors(v) for v in range(g.n)], [0] * g.n))
+    edges = set(g.edges)
+    found = []
+    for images in product(*(permutations(cell) for cell in cells)):
+        sigma = [0] * g.n
+        for cell, image in zip(cells, images):
+            for v, w in zip(cell, image):
+                sigma[v] = w
+        if all((sigma[u], sigma[v]) in edges or (sigma[v], sigma[u]) in edges
+               for u, v in g.edges):
+            found.append(sigma)
+    return found
+
+
+def _orbit_least_masks(g: Graph):
+    """The nonempty vertex masks of g that are least in their orbit under
+    Aut(g), ascending."""
+    autos = _automorphisms(g)
+    seen = set()
+    for mask in range(1, 1 << g.n):
+        if mask in seen:
+            continue
+        yield mask
+        members = members_of(mask)
+        seen.update(sum(1 << sigma[u] for u in members) for sigma in autos)
 
 
 def _graph_id(n: int, code: int) -> str:
@@ -178,15 +210,21 @@ def census(max_n: int) -> list[CensusRecord]:
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[CensusRecord, ...]:
-    """The census records on exactly n vertices.  Generated by extending
-    each (n-1)-vertex class with a new vertex attached to every possible
-    neighborhood; every connected graph arises this way because it has a
-    non-cut vertex."""
+    """The census records on exactly n vertices.
+
+    Generated by extending each (n-1)-vertex class with a new vertex
+    attached to a nonempty neighborhood; every connected graph arises this
+    way because it has a non-cut vertex.  Only neighborhoods least in their
+    orbit under the parent's automorphisms are tried (McKay, J. Algorithms
+    26, 1998): an automorphism mapping S to S' extends, fixing the new
+    vertex, to an isomorphism of the two children, so the least mask of an
+    orbit comes first in the ascending loop and the first child of every
+    class, the one kept as its representative, is still generated."""
     if n == 1:
         children = [Graph(1, [])]
     else:
         children = (Graph(n, [*parent.graph.edges, *((u, n - 1) for u in members_of(mask))])
-                    for parent in _classes(n - 1) for mask in range(1, 1 << (n - 1)))
+                    for parent in _classes(n - 1) for mask in _orbit_least_masks(parent.graph))
     out: dict[int, Graph] = {}
     for child in children:
         out.setdefault(canonical_form(child), child)

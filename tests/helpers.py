@@ -249,3 +249,76 @@ def repair_corners_full_recheck(m: int, n: int, black: set, white: set, size_cap
     if problems:
         raise AssertionError(f"unrepaired cells remain: {sorted(problems)}")
     return black, white
+
+
+def canonical_form_oracle(g: Graph) -> int:
+    """The canonical encoding computed as the census first computed it:
+    refinement on tuples until a pass changes nothing, the first
+    non-singleton cell split on each vertex (once for an interchangeable
+    cell), and the least upper-triangle encoding over the leaves."""
+
+    def refine(colors: tuple) -> tuple:
+        while True:
+            signatures = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+                          for v in range(g.n)]
+            palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
+            new = tuple(palette[s] for s in signatures)
+            if new == colors:
+                return new
+            colors = new
+
+    def encode(perm: list[int]) -> int:
+        pos = {v: i for i, v in enumerate(perm)}
+        bits = 0
+        for u, v in g.edges:
+            a, b = sorted((pos[u], pos[v]))
+            bits |= 1 << (a * g.n + b)
+        return bits
+
+    def homogeneous(cell: list[int]) -> bool:
+        inside = set(cell)
+        outside = {frozenset(u for u in g.neighbors(v) if u not in inside) for v in cell}
+        deg_in = {sum(1 for u in g.neighbors(v) if u in inside) for v in cell}
+        return len(outside) == 1 and deg_in in ({0}, {len(cell) - 1})
+
+    best = []
+
+    def descend(colors: tuple) -> None:
+        colors = refine(colors)
+        buckets: dict = {}
+        for v, c in enumerate(colors):
+            buckets.setdefault(c, []).append(v)
+        cells = [buckets[c] for c in sorted(buckets)]
+        target = next((c for c in cells if len(c) > 1), None)
+        if target is None:
+            best.append(encode([v for cell in cells for v in cell]))
+            return
+        for v in (target[:1] if homogeneous(target) else target):
+            descend(tuple(c + (g.n * g.n if u == v else 0) for u, c in enumerate(colors)))
+
+    descend((0,) * g.n)
+    return min(best)
+
+
+def full_extension_children(parent: Graph):
+    """Every child of parent: a new last vertex joined to each nonempty
+    vertex mask, masks ascending."""
+    n = parent.n + 1
+    for mask in range(1, 1 << parent.n):
+        yield Graph(n, [*parent.edges, *((u, n - 1) for u in range(parent.n) if mask >> u & 1)])
+
+
+def census_oracle(max_n: int) -> list[tuple[Graph, str]]:
+    """(graph, graph id) per class of connected graphs on 1..max_n vertices,
+    by the unpruned generator: each class of the previous order extended by
+    every mask, the first child of each code kept, codes ascending."""
+    level = [Graph(1, [])]
+    records = [(level[0], f"1-{canonical_form_oracle(level[0]):x}")]
+    for n in range(2, max_n + 1):
+        out: dict[int, Graph] = {}
+        for parent in level:
+            for child in full_extension_children(parent):
+                out.setdefault(canonical_form_oracle(child), child)
+        level = [out[code] for code in sorted(out)]
+        records.extend((out[code], f"{n}-{code:x}") for code in sorted(out))
+    return records

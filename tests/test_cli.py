@@ -80,6 +80,25 @@ class TestLoadGraph:
         assert load_graph(str(path)) == path_graph(4)
 
 
+    def test_size_checked_before_allocating(self, tmp_path):
+        # the child's address space is capped at 1 GiB, so building any of
+        # these graphs would end in MemoryError and a traceback instead
+        path = tmp_path / "huge.edges"
+        path.write_text("10000000000 0\n")
+        tokens = ["p10000000000", "c10000000000", "k1,10000000000",
+                  "grid:100000x100000", "p2000001", "grid:1415x1414", str(path)]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from swapsets.cli import run\n"
+            "sys.stdout.write(repr([run(['compute', t]) for t in sys.argv[1:]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *tokens],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == repr([2] * len(tokens)), proc.stderr
+        assert proc.stderr.count("above the cap of 2000000") == len(tokens)
+
+
 class TestCompute:
     def test_finite(self, capsys):
         code, obj = run_json(capsys, "compute", "p4")

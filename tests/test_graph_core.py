@@ -30,6 +30,7 @@ from swapsets import (
     verify_certificate,
 )
 from swapsets.graph_core import (
+    MAX_GRAPH_N,
     bfs_tree,
     classify_stems,
     lex_least_matching,
@@ -133,6 +134,17 @@ class TestParseFormat:
         with pytest.raises(GraphParseError) as exc:
             parse_graph(text)
         assert exc.value.line_no == line
+
+    def test_header_size_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphParseError, match="above the cap") as exc:
+                parse_graph(f"# too large\n{MAX_GRAPH_N + 1} 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line_no == 2
+        assert peak < 100_000
 
     @settings(derandomize=True, max_examples=40)
     @given(random_graphs())

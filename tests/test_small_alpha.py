@@ -1,10 +1,16 @@
+import subprocess
+import sys
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import canonical_form_oracle, census_oracle, full_extension_children
 from swapsets import (
     BudgetError,
     ContractError,
     FINITE,
+    INFINITE,
     Graph,
     SwapCertificate,
     alpha2_swap,
@@ -51,6 +57,21 @@ class TestCanonicalForm:
     def test_id_format(self):
         assert canonical_id(path_graph(2)) == f"2-{canonical_form(path_graph(2)):x}"
 
+    def test_matches_oracle_on_every_child(self):
+        # every child the unpruned generator builds on up to six vertices
+        for n in range(1, 6):
+            for parent in enumerate_connected_graphs(n):
+                for child in full_extension_children(parent):
+                    assert canonical_form(child) == canonical_form_oracle(child)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(random_graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_matches_oracle_under_relabeling(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(relabeled) == canonical_form_oracle(g)
+
 
 class TestEnumeration:
     def test_counts_match_census(self):
@@ -83,6 +104,38 @@ class TestEnumeration:
 
 
 class TestCensus:
+    def test_matches_unpruned_generator(self):
+        records = census(7)
+        expected = census_oracle(7)
+        assert len(records) == len(expected)
+        for r, (graph, graph_id) in zip(records, expected):
+            assert (r.graph.n, r.graph.edges, r.graph_id) == (graph.n, graph.edges, graph_id)
+
+    def test_canonical_form_calls(self):
+        # a fresh process, so no census level is cached from earlier tests;
+        # the unpruned generator makes 7,816 calls here
+        script = (
+            "import sys\n"
+            "import swapsets.small_alpha as small_alpha\n"
+            "calls = []\n"
+            "real = small_alpha.canonical_form\n"
+            "small_alpha.canonical_form = lambda g: calls.append(1) or real(g)\n"
+            "small_alpha.census(7)\n"
+            "sys.stdout.write(str(len(calls)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.stdout == "4160", proc.stderr
+
+    def test_automorphisms_match_brute_force(self):
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                edges = set(g.edges)
+                brute = sorted(list(p) for p in permutations(range(n))
+                               if all(tuple(sorted((p[u], p[v]))) in edges
+                                      for u, v in g.edges))
+                assert sorted(small_alpha._automorphisms(g)) == brute
+
     def test_ids_and_order_match_enumeration(self):
         records = census(7)
         assert [r.graph_id for r in records] == [canonical_id(r.graph) for r in records]
@@ -188,6 +241,20 @@ class TestAlpha3Swap:
                     assert is_strong_graph(g)
                     with pytest.raises(AssertionError):
                         alpha3_swap_with_stage(g)
+
+    @pytest.mark.parametrize("m, leaves", [
+        *((m, 2) for m in range(2, 7)),   # alpha = 3
+        *((m, 3) for m in range(2, 6)),   # alpha = 4
+        *((m, 4) for m in range(2, 5)),   # alpha = 5
+    ])
+    def test_clique_with_pendant_leaves_has_no_swap_set(self, m, leaves):
+        # K_m with alpha - 1 pendant leaves on one vertex: a strong stem at
+        # every order, so no order forces a swap set for a fixed alpha
+        g = Graph(m + leaves, [*complete_graph(m).edges,
+                               *((0, m + i) for i in range(leaves))])
+        assert independence_number(g) == leaves + 1
+        assert is_strong_graph(g)
+        assert dd_m_exact(g, use_strong_shortcut=False).status == INFINITE
 
     def test_preconditions(self):
         with pytest.raises(ContractError):
