@@ -48,13 +48,17 @@ def load_graph(token: str) -> Graph:
         if n > MAX_GRAPH_N:
             raise ContractError(
                 f"graph token {token!r} has {n} vertices, above the cap of {MAX_GRAPH_N}")
-        if p is not None:
-            return path_graph(int(p))
-        if c is not None:
-            return cycle_graph(int(c))
-        if k is not None:
-            return star_graph(int(k))
-        return grid_graph(int(gm), int(gn))
+        try:
+            if p is not None:
+                return path_graph(int(p))
+            if c is not None:
+                return cycle_graph(int(c))
+            if k is not None:
+                return star_graph(int(k))
+            return grid_graph(int(gm), int(gn))
+        except ValueError as exc:
+            # c0..c2 and grid sides of 0 match the pattern but name no graph
+            raise ContractError(f"graph token {token!r}: {exc}") from exc
     with open(token, encoding="utf-8") as fh:
         return parse_graph(fh.read())
 

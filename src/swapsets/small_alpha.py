@@ -42,23 +42,42 @@ from .graph_core import (
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration
 
-def _refine(adj: list, colors: list[int]) -> list[int]:
-    """Stable partition refinement: a vertex's color absorbs the multiset of
-    its neighbors' colors.  Returns the colors as ranks 0..k-1.
+def _refine(adj: list, colors: list[int], count: int) -> list[int]:
+    """Stable partition refinement of a ranked coloring with count colors:
+    a vertex's color absorbs the multiset of its neighbors' colors.  Returns
+    the colors as ranks 0..k-1.
 
-    Each signature starts with the old color, so a pass only splits cells
+    The coloring must be finer than the degree partition, so the vertices
+    of one cell have equally many neighbors.  Their sorted tuples of
+    neighbor colors then compare in the reverse order of the sums of
+    n**(n-1-c) over those colors c: base-n numbers whose digit for color c
+    counts the neighbors of that color, which never reaches n.  A signature
+    is the old color times n**n minus that sum, so a pass only splits cells
     and keeps their order.  A pass that splits nothing has ranked an
-    equitable partition, which the next pass would return unchanged, so the
-    loop stops there."""
-    count = len(set(colors))
-    while True:
-        signatures = [(colors[v], tuple(sorted([colors[u] for u in nbrs])))
-                      for v, nbrs in enumerate(adj)]
-        palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        colors = [palette[s] for s in signatures]
-        if len(palette) == count:
+    equitable partition and returns the colors unchanged; a discrete
+    coloring is equitable, so it needs no pass at all."""
+    n = len(adj)
+    weights = [n ** (n - 1 - c) for c in range(n)]
+    shift = n ** n
+    while count < n:
+        w = list(map(weights.__getitem__, colors))
+        signatures = [c * shift - sum(map(w.__getitem__, nbrs)) for c, nbrs in zip(colors, adj)]
+        distinct = set(signatures)
+        if len(distinct) == count:
             return colors
-        count = len(palette)
+        count = len(distinct)
+        palette = dict(zip(sorted(distinct), range(count)))
+        colors = list(map(palette.__getitem__, signatures))
+    return colors
+
+
+def _equitable(adj: list) -> list[int]:
+    """The coarsest equitable coloring, refined from the degree ranks, which
+    are what a first pass from the uniform coloring would compute."""
+    degrees = [len(nbrs) for nbrs in adj]
+    distinct = sorted(set(degrees))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return _refine(adj, [rank[d] for d in degrees], len(distinct))
 
 
 def _cells(colors: list[int]) -> list[list[int]]:
@@ -69,20 +88,15 @@ def _cells(colors: list[int]) -> list[list[int]]:
     return cells
 
 
-def _homogeneous(g: Graph, cell: list[int]) -> bool:
+def _homogeneous(adj: list, cell: list[int]) -> bool:
     """Every permutation of the cell is an automorphism: its vertices share
     one exact outside neighborhood and induce a clique or an empty graph."""
-    inside = set(cell)
-    ref = None
-    for v in cell:
-        outside = frozenset(u for u in g.neighbors(v) if u not in inside)
-        if ref is None:
-            ref = outside
-        elif outside != ref:
-            return False
-    deg_in = [sum(1 for u in g.neighbors(v) if u in inside) for v in cell]
-    k = len(cell)
-    return all(d == 0 for d in deg_in) or all(d == k - 1 for d in deg_in)
+    bit = (1).__lshift__
+    inside = sum(map(bit, cell))
+    masks = [sum(map(bit, adj[v])) for v in cell]
+    outside = masks[0] & ~inside
+    degrees = {(m & inside).bit_count() for m in masks}
+    return degrees in ({0}, {len(cell) - 1}) and all(m & ~inside == outside for m in masks)
 
 
 def canonical_form(g: Graph) -> int:
@@ -91,18 +105,18 @@ def canonical_form(g: Graph) -> int:
     Individualization-refinement: refine by color, split the first
     non-singleton cell on each of its vertices in turn, and take the minimum
     encoding over the discrete orderings reached.  Cells whose vertices are
-    provably interchangeable are split only once.  The encoding sets bit
-    a*n + b for every edge whose endpoints sit at positions a < b.
+    provably interchangeable are split only once.  An individualized vertex
+    takes a new last color.  The encoding sets bit a*n + b for every edge
+    whose endpoints sit at positions a < b.
     """
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = list(map(g.neighbors, range(n)))
     best = None
-
-    def descend(colors: list[int]) -> None:
-        nonlocal best
-        colors = _refine(adj, colors)
-        cells = _cells(colors)
-        if len(cells) == n:
+    stack = [_equitable(adj)]
+    while stack:
+        colors = stack.pop()
+        count = max(colors, default=-1) + 1
+        if count == n:
             # discrete: each vertex's color is its position
             code = 0
             for u, v in g.edges:
@@ -110,23 +124,22 @@ def canonical_form(g: Graph) -> int:
                 code |= 1 << (a * n + b if a < b else b * n + a)
             if best is None or code < best:
                 best = code
-            return
+            continue
+        cells = _cells(colors)
         target = next(c for c in cells if len(c) > 1)
-        branch = target[:1] if _homogeneous(g, target) else target
-        for v in branch:
+        for v in target[:1] if _homogeneous(adj, target) else target:
             bumped = colors[:]
-            bumped[v] += n * n
-            descend(bumped)
-
-    descend([0] * n)
-    return best if best is not None else 0
+            bumped[v] = count
+            # a coloring made discrete here is already ranked and equitable
+            stack.append(bumped if count + 1 == n else _refine(adj, bumped, count + 1))
+    return best
 
 
 def _automorphisms(g: Graph) -> list[list[int]]:
     """Every automorphism of g, as the list of vertex images.  An
     automorphism maps each cell of the refined coloring onto itself, so only
     the permutations within those cells are tried."""
-    cells = _cells(_refine([g.neighbors(v) for v in range(g.n)], [0] * g.n))
+    cells = _cells(_equitable([g.neighbors(v) for v in range(g.n)]))
     edges = set(g.edges)
     found = []
     for images in product(*(permutations(cell) for cell in cells)):

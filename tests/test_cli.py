@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import random
 
@@ -79,6 +82,12 @@ class TestLoadGraph:
         path.write_text(format_graph(path_graph(4)))
         assert load_graph(str(path)) == path_graph(4)
 
+    @pytest.mark.parametrize("token", ["c0", "c2", "grid:0x3", "grid:3x0"])
+    def test_refused_generator_tokens_are_usage_errors(self, capsys, token):
+        assert run(["compute", token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: graph token {token!r}")
 
     def test_size_checked_before_allocating(self, tmp_path):
         # the child's address space is capped at 1 GiB, so building any of
@@ -338,6 +347,24 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestBenchmarkReference:
+    # the census and products items of perfbench, run as the benchmark runs
+    # them; their stdout digests and exit codes are read from its reference
+    @pytest.mark.parametrize("name, argv", [
+        ("conjectures-7", ["scan", "conjectures", "--max-n", "7", "--format", "tsv"]),
+        ("alpha3-7", ["scan", "alpha3", "--max-n", "7"]),
+        ("products-15", ["scan", "products", "--max-n", "15"]),
+    ])
+    def test_stdout_matches_recorded_digest(self, name, argv):
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        expected = json.loads(reference.read_text(encoding="utf-8"))[name]
+        proc = subprocess.run([sys.executable, "-m", "swapsets.cli", *argv],
+                              capture_output=True, env={**os.environ, "PYTHONHASHSEED": "0"},
+                              timeout=120)
+        assert proc.returncode == expected["exit"], proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
 
 
 class TestEntryPoint:

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +31,7 @@ from swapsets import (
     is_strong_graph,
     path_graph,
     star_graph,
+    subdivided_doubled_triangle,
     verify_certificate,
 )
 import swapsets.small_alpha as small_alpha
@@ -58,11 +59,26 @@ class TestCanonicalForm:
         assert canonical_id(path_graph(2)) == f"2-{canonical_form(path_graph(2)):x}"
 
     def test_matches_oracle_on_every_child(self):
-        # every child the unpruned generator builds on up to six vertices
-        for n in range(1, 6):
+        # every child the unpruned generator builds on up to seven vertices
+        for n in range(1, 7):
             for parent in enumerate_connected_graphs(n):
                 for child in full_extension_children(parent):
                     assert canonical_form(child) == canonical_form_oracle(child)
+
+    def test_matches_oracle_on_edge_cases(self):
+        # every labelled graph on up to five vertices, so the empty graph,
+        # regular root colorings and disconnected graphs, then the
+        # nine-vertex example, whose root coloring is not discrete
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                assert canonical_form(g) == canonical_form_oracle(g)
+        square = cycle_graph(4).edges
+        two_squares = Graph(8, [*square, *((u + 4, v + 4) for u, v in square)])
+        for g in (two_squares, Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+                  subdivided_doubled_triangle()):
+            assert canonical_form(g) == canonical_form_oracle(g)
 
     @settings(derandomize=True, max_examples=100)
     @given(random_graphs(max_n=8), st.randoms(use_true_random=False))
@@ -126,6 +142,22 @@ class TestCensus:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.stdout == "4160", proc.stderr
+
+    def test_refine_calls(self):
+        # a fresh process, as above; the refinement that starts from the
+        # uniform coloring and confirms discrete colorings makes 12,582
+        script = (
+            "import sys\n"
+            "import swapsets.small_alpha as small_alpha\n"
+            "calls = []\n"
+            "real = small_alpha._refine\n"
+            "small_alpha._refine = lambda *args: calls.append(1) or real(*args)\n"
+            "small_alpha.census(7)\n"
+            "sys.stdout.write(str(len(calls)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.stdout == "9291", proc.stderr
 
     def test_automorphisms_match_brute_force(self):
         for n in range(1, 7):
