@@ -38,6 +38,12 @@ from .tree_algorithms import analyse_tree
 _GENERATORS = re.compile(r"^(?:p(\d+)|c(\d+)|k1,(\d+)|grid:(\d+)x(\d+))$")
 
 
+def _check_size(what: str, n: int) -> None:
+    """Refuse a graph of n vertices above the cap before building it."""
+    if n > MAX_GRAPH_N:
+        raise ContractError(f"{what} has {n} vertices, above the cap of {MAX_GRAPH_N}")
+
+
 def load_graph(token: str) -> Graph:
     """A generator token, or failing that a path to an edge-list file."""
     m = _GENERATORS.match(token)
@@ -45,9 +51,7 @@ def load_graph(token: str) -> Graph:
         p, c, k, gm, gn = m.groups()
         n = (int(p) if p is not None else int(c) if c is not None
              else int(k) + 1 if k is not None else int(gm) * int(gn))
-        if n > MAX_GRAPH_N:
-            raise ContractError(
-                f"graph token {token!r} has {n} vertices, above the cap of {MAX_GRAPH_N}")
+        _check_size(f"graph token {token!r}", n)
         try:
             if p is not None:
                 return path_graph(int(p))
@@ -108,16 +112,21 @@ def _cmd_construct(args) -> int:
 
     board = None
     if args.family == "star-product":
+        _check_size(f"star-product {args.a} {args.b}", (args.a + 1) * (args.b + 1))
         g, cert = star_product_swap(args.a, args.b)
         payload = _construct_payload(g, cert)
     elif args.family == "grid":
+        _check_size(f"grid {args.a} {args.b}", args.a * args.b)
         g, cert, board = grid_swap_construct(args.a, args.b)
         payload = _construct_payload(g, cert, {"board": board.render().split("\n")})
     elif args.family == "p3-strip":
+        _check_size(f"p3-strip {args.a}", 3 * (4 * args.a + 1))
         g, cert = p3_strip_swap(args.a)
         payload = _construct_payload(g, cert)
     else:
-        g, cert = product_swap_general(load_graph(args.g), load_graph(args.h))
+        left, right = load_graph(args.g), load_graph(args.h)
+        _check_size(f"product of {args.g} and {args.h}", left.n * right.n)
+        g, cert = product_swap_general(left, right)
         payload = _construct_payload(g, cert)
     if not verify_certificate(g, cert):
         _emit({"error": "construction failed verification"})
@@ -235,6 +244,7 @@ def _cmd_scan(args) -> int:
 def _cmd_report(args) -> int:
     from .grid_constructions import grid_density_report
 
+    _check_size(f"the largest grid of --max-mn {args.max_mn}", args.max_mn ** 2)
     sys.stdout.write(grid_density_report(args.max_mn).to_tsv())
     return 0
 

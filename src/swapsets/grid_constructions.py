@@ -10,8 +10,8 @@ found here by bounded search and accepted only when the full certificate
 verifies.
 
 Also provides the 3 x (4k+1) strip family whose swap number exceeds its
-domination number by exactly one, and a transfer-matrix domination oracle
-used for lower-bound cross-checks.
+domination number by exactly one, and a frontier DP for the grid domination
+number used for lower-bound cross-checks.
 """
 
 from __future__ import annotations
@@ -149,6 +149,8 @@ def _board_problems(m: int, n: int, black: set, white: set, window=None) -> set:
     lo_i, hi_i, lo_j, hi_j = window or (1, m, 1, n)
     problems = set()
     targets = {}
+    before = set()  # closed neighbourhoods of the tokens
+    after = set()  # closed neighbourhoods of the claimed targets
     for i in range(max(1, lo_i - 2), min(m, hi_i + 2) + 1):
         for j in range(max(1, lo_j - 1), min(n, hi_j + 1) + 1):
             if (i, j) in black:
@@ -157,7 +159,9 @@ def _board_problems(m: int, n: int, black: set, white: set, window=None) -> set:
                 t = (i - 1, j)
             else:
                 continue
-            if not (1 <= t[0] <= m and 1 <= t[1] <= n):
+            before.update(((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)))
+            ti, tj = t
+            if not (1 <= ti <= m and 1 <= tj <= n):
                 problems.add((i, j))
                 continue
             if t in black or t in white:
@@ -166,12 +170,10 @@ def _board_problems(m: int, n: int, black: set, white: set, window=None) -> set:
                 problems.update({(i, j), targets[t]})
             else:
                 targets[t] = (i, j)
+                after.update((t, (ti - 1, tj), (ti + 1, tj), (ti, tj - 1), (ti, tj + 1)))
     for i in range(lo_i, hi_i + 1):
         for j in range(lo_j, hi_j + 1):
-            closed = ((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-            if not any(c in black or c in white for c in closed):
-                problems.add((i, j))
-            if not any(c in targets for c in closed):
+            if (i, j) not in before or (i, j) not in after:
                 problems.add((i, j))
     return {(i, j) for i, j in problems if lo_i <= i <= hi_i and lo_j <= j <= hi_j}
 
@@ -332,12 +334,15 @@ def p3_strip_swap(k: int) -> tuple[Graph, SwapCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# transfer-matrix domination oracle
+# grid domination number by a frontier DP
 
 def gamma_grid_dp(rows: int, cols: int) -> int:
-    """Exact domination number of the rows x cols grid by a column-sweep
-    DP whose frontier tracks, per row, whether the previous column's cell
-    is in the set, dominated, or still waiting on the next column.
+    """Exact domination number of the rows x cols grid by a cell-by-cell
+    (broken-profile) DP.  The sweep visits the grid column by column and,
+    within a column, row by row from the top.  Its frontier holds, per row,
+    the last cell visited in that row: in the set, dominated, or still
+    waiting on a later neighbour (the cell below it in its column or the
+    next cell in its row).
 
     One sweep per row count is kept and resumed, so asking for more columns
     runs only the column steps not yet taken."""
@@ -359,36 +364,33 @@ _SWEEPS: dict[int, tuple[Iterator[int], list[int]]] = {}
 
 def _gamma_sweep(rows: int) -> Iterator[int]:
     """Domination numbers of the rows x 1, rows x 2, ... grids, one column
-    step per value."""
-    full = (1 << rows) - 1
-    vert = [0] * (1 << rows)
-    for s in range(1 << rows):
-        vert[s] = ((s << 1) | (s >> 1)) & full
-    supersets = [[] for _ in range(1 << rows)]
-    for u in range(1 << rows):
-        for s in range(1 << rows):
-            if s & u == u:
-                supersets[u].append(s)
-    counts = [bin(s).count("1") for s in range(1 << rows)]
-
-    # state: (in-set mask of current column, still-undominated mask)
-    cur = {}
-    for s in range(1 << rows):
-        undom = full & ~(s | vert[s])
-        key = (s, undom)
-        if counts[s] < cur.get(key, 1 << 30):
-            cur[key] = counts[s]
+    of cell steps per value.  A state is one int: bit r is set when row r's
+    frontier cell is in the set, bit rows + r when it is waiting.  Visiting
+    row r, that cell is the one to the left and row r - 1's the one above."""
+    # the column before the first: dominated cells, none in the set
+    cur = {0: 0}
     while True:
-        yield min(cost for (_, undom), cost in cur.items() if undom == 0)
-        nxt = {}
-        for (prev_in, undom), cost in cur.items():
-            for s in supersets[undom]:
-                new_undom = full & ~(s | vert[s] | prev_in)
-                key = (s, new_undom)
-                c = cost + counts[s]
-                if c < nxt.get(key, 1 << 30):
-                    nxt[key] = c
-        cur = nxt
+        for r in range(rows):
+            cell = 1 << r
+            wait = cell << rows
+            above = cell >> 1
+            # in the set: the cell above and the cell to the left stop waiting
+            taken = ~(wait | (above << rows))
+            nxt: dict[int, int] = {}
+            for key, cost in cur.items():
+                k = (key | cell) & taken
+                c = cost + 1
+                if c < nxt.get(k, c + 1):
+                    nxt[k] = c
+                # left out: only if the cell to the left (its last chance) is
+                # not waiting; dominated if it or the cell above is in the set
+                if not key & wait:
+                    k = key & ~cell if key & (cell | above) else (key & ~cell) | wait
+                    if cost < nxt.get(k, cost + 1):
+                        nxt[k] = cost
+            cur = nxt
+        # a key below 1 << rows has no waiting cell
+        yield min(cost for key, cost in cur.items() if key < 1 << rows)
 
 
 # ---------------------------------------------------------------------------

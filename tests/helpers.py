@@ -322,3 +322,28 @@ def census_oracle(max_n: int) -> list[tuple[Graph, str]]:
         level = [out[code] for code in sorted(out)]
         records.extend((out[code], f"{n}-{code:x}") for code in sorted(out))
     return records
+
+
+def gamma_sweep_oracle(rows: int):
+    """Domination numbers of the rows x 1, rows x 2, ... grids by a sweep
+    that steps a whole column at a time: a state is the column's in-set mask
+    and the mask of its cells still undominated, and the next column's set
+    is any superset of that mask."""
+    full = (1 << rows) - 1
+    vert = [((s << 1) | (s >> 1)) & full for s in range(1 << rows)]
+    supersets = [[s for s in range(1 << rows) if s & u == u] for u in range(1 << rows)]
+    counts = [bin(s).count("1") for s in range(1 << rows)]
+    cur = {}
+    for s in range(1 << rows):
+        key = (s, full & ~(s | vert[s]))
+        cur[key] = min(counts[s], cur.get(key, counts[s]))
+    while True:
+        yield min(cost for (_, undom), cost in cur.items() if undom == 0)
+        nxt = {}
+        for (prev_in, undom), cost in cur.items():
+            for s in supersets[undom]:
+                key = (s, full & ~(s | vert[s] | prev_in))
+                c = cost + counts[s]
+                if c < nxt.get(key, 1 << 30):
+                    nxt[key] = c
+        cur = nxt

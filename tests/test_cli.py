@@ -240,6 +240,25 @@ class TestConstruct:
         assert run_cli(capsys, "construct", "p3-strip", "1")[0] == 2
         assert run_cli(capsys, "construct", "star-product", "0", "0")[0] == 2
 
+    def test_size_checked_before_building(self):
+        # the child's address space is capped at 1 GiB, so building any of
+        # these graphs would end in MemoryError or run for minutes instead
+        argvs = [["construct", "grid", "3000", "3000"],
+                 ["construct", "p3-strip", "1000000"],
+                 ["construct", "star-product", "3000", "3000"],
+                 ["construct", "product", "p3000", "p3000"],
+                 ["report", "grid", "--max-mn", "100000"]]
+        script = (
+            "import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from swapsets.cli import run\n"
+            "sys.stdout.write(repr([run(a) for a in json.loads(sys.argv[1])]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == repr([2] * len(argvs)), proc.stderr
+        assert proc.stderr.count("above the cap of 2000000") == len(argvs)
+
 
 class TestGammaDp:
     def test_value(self, capsys):
@@ -350,21 +369,34 @@ class TestDeterminism:
 
 
 class TestBenchmarkReference:
-    # the census and products items of perfbench, run as the benchmark runs
+    # the seed-independent items of perfbench, run as the benchmark runs
     # them; their stdout digests and exit codes are read from its reference
+
+    @staticmethod
+    def check(name, argv, cwd=None):
+        root = Path(__file__).resolve().parents[1]
+        reference = root / "perfbench" / "reference.json"
+        expected = json.loads(reference.read_text(encoding="utf-8"))[name]
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-m", "swapsets.cli", *argv],
+                              capture_output=True, env=env, cwd=cwd, timeout=120)
+        assert proc.returncode == expected["exit"], proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
+
     @pytest.mark.parametrize("name, argv", [
         ("conjectures-7", ["scan", "conjectures", "--max-n", "7", "--format", "tsv"]),
         ("alpha3-7", ["scan", "alpha3", "--max-n", "7"]),
         ("products-15", ["scan", "products", "--max-n", "15"]),
+        ("report-grid-14", ["report", "grid", "--max-mn", "14"]),
+        ("grid-50", ["construct", "grid", "50", "50"]),
     ])
     def test_stdout_matches_recorded_digest(self, name, argv):
-        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        expected = json.loads(reference.read_text(encoding="utf-8"))[name]
-        proc = subprocess.run([sys.executable, "-m", "swapsets.cli", *argv],
-                              capture_output=True, env={**os.environ, "PYTHONHASHSEED": "0"},
-                              timeout=120)
-        assert proc.returncode == expected["exit"], proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
+        self.check(name, argv)
+
+    def test_grid_files_then_verify_match_recorded_digests(self, tmp_path):
+        self.check("grid-200-files", ["construct", "grid", "200", "200", "--graph-out",
+                                      "grid.txt", "--cert-out", "grid-cert.json"], tmp_path)
+        self.check("verify-grid-200", ["verify", "grid.txt", "grid-cert.json"], tmp_path)
 
 
 class TestEntryPoint:

@@ -1,6 +1,9 @@
+import random
+from itertools import islice
+
 import pytest
 
-from helpers import repair_corners_full_recheck
+from helpers import full_board_problems, gamma_sweep_oracle, repair_corners_full_recheck
 from swapsets import (
     ContractError,
     TokenBoard,
@@ -14,7 +17,7 @@ from swapsets import (
     verify_certificate,
 )
 from swapsets import grid_constructions
-from swapsets.grid_constructions import GridSpec, _base_board
+from swapsets.grid_constructions import GridSpec, _base_board, _board_problems
 
 
 class TestPerfectDomination:
@@ -95,6 +98,31 @@ class TestGridConstruction:
                 spec = GridSpec(m, n)
                 assert cert.d == {spec.vertex(*c) for c in black | white}
 
+    def test_board_problems_match_full_board_oracle(self):
+        # random token layouts, mostly invalid: moves off the board, onto
+        # other tokens and onto one another's targets, and gaps
+        rng = random.Random(8)
+        for _ in range(400):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.random()
+            black, white = set(), set()
+            for cell in GridSpec(m, n).cells():
+                x = rng.random()
+                if x < density / 2:
+                    black.add(cell)
+                elif x < density:
+                    white.add(cell)
+            full = full_board_problems(m, n, black, white)
+            assert _board_problems(m, n, black, white) == full
+            for _ in range(3):
+                lo_i = rng.randint(1, m)
+                hi_i = rng.randint(lo_i, m)
+                lo_j = rng.randint(1, n)
+                hi_j = rng.randint(lo_j, n)
+                window = (lo_i, hi_i, lo_j, hi_j)
+                expected = {(i, j) for i, j in full if lo_i <= i <= hi_i and lo_j <= j <= hi_j}
+                assert _board_problems(m, n, black, white, window) == expected, window
+
     def test_board_matches_certificate(self):
         g, cert, board = grid_swap_construct(10, 9)
         spec = GridSpec(10, 9)
@@ -148,6 +176,12 @@ class TestGammaGridDp:
     def test_row_cap(self):
         with pytest.raises(ContractError):
             gamma_grid_dp(9, 4)
+
+    def test_matches_column_sweep_oracle(self, monkeypatch):
+        monkeypatch.setattr(grid_constructions, "_SWEEPS", {})
+        for rows in range(1, 9):
+            expected = list(islice(gamma_sweep_oracle(rows), 20))
+            assert [gamma_grid_dp(rows, c) for c in range(1, 21)] == expected, rows
 
     def test_answers_independent_of_call_order(self, monkeypatch):
         cols = list(range(1, 11))
