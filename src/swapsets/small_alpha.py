@@ -14,7 +14,6 @@ vertex extension, drives empirical scans of two open conjectures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
@@ -449,9 +448,6 @@ class ScanReport:
             "counterexamples": self.counterexamples,
             "extras": self.extras,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def alpha3_bound_check(scope_n: int) -> ScanReport:

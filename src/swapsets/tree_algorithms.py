@@ -12,7 +12,6 @@ star part on the way back out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact_solver import DdmResult, INFINITE, finite_result
 from .graph_core import (
@@ -230,141 +229,116 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
 
     Returns (weight, parts).  Weight counts the K2 parts.  Ties break toward
     pairing with the parent, then toward the lower-index child partner.
+
+    Costs live in flat per-vertex lists, _INF where a state is infeasible,
+    and best[v] is the least of C, K0 and K1.  The traceback re-derives each
+    child's state from them with the tie rules of the forward pass.
     """
     n = t.n
     parent, children, order = _rooted(t)
-    forced: dict[int, tuple] = {}
-    for v in range(n):
-        leaves = [u for u in t.neighbors(v) if t.degree(u) == 1]
-        if len(leaves) == 1:
-            leaf = leaves[0]
-            forced[v] = ("C", leaf) if parent[leaf] == v else ("P",)
-        elif len(leaves) >= 2:
-            raise ContractError("partition DP requires a weak tree")
+    # stem_leaf[v]: v's only leaf neighbour, which its part must be a K2 with
+    stem_leaf = [-1] * n
+    for u, nbrs in enumerate(map(t.neighbors, range(n))):
+        if len(nbrs) == 1:
+            (v,) = nbrs
+            if stem_leaf[v] != -1:
+                raise ContractError("partition DP requires a weak tree")
+            stem_leaf[v] = u
 
-    dp: list[dict[str, int]] = [dict() for _ in range(n)]
-    trace: list[dict[str, tuple]] = [dict() for _ in range(n)]
-
-    def child_cost(c: int, states: tuple[str, ...]) -> tuple[int, str | None]:
-        best_cost, best_state = _INF, None
-        for s in states:
-            cost = dp[c].get(s, _INF)
-            if cost < best_cost:
-                best_cost, best_state = cost, s
-        return best_cost, best_state
+    cost_p, cost_c, cost_k0, cost_k1 = ([_INF] * n for _ in range(4))
+    best = [_INF] * n
+    partner = [-1] * n
 
     for v in reversed(order):
         cs = children[v]
-        f = forced.get(v)
+        f = stem_leaf[v]
+        if not cs:
+            # a leaf (never the root of a tree on two or more vertices) can
+            # only pair with its parent
+            if f == -1 or f == parent[v]:
+                cost_p[v] = 0
+            continue
+        base = sum(map(best.__getitem__, cs))
         # state P: pair with parent; children settle on C/K0/K1
-        if parent[v] != -1 and (f is None or f == ("P",)):
-            total = 0
-            assign = {}
+        if parent[v] != -1 and (f == -1 or f == parent[v]) and base < _INF:
+            cost_p[v] = base
+        # state C: pair with one child in state P, the first of least cost
+        if f == -1 or parent[f] == v:
+            delta, c_star = _INF, -1
+            for c in ((f,) if f != -1 else cs):
+                d = cost_p[c] - best[c]
+                if d < delta:
+                    delta, c_star = d, c
+            if c_star != -1 and base + delta < _INF:
+                cost_c[v] = 1 + base + delta
+                partner[v] = c_star
+        # states K0/K1: v is a K1 part; children settle on C (counts) or K0,
+        # and the cheapest upgrades from K0 to C make up the count
+        if f == -1:
+            total = have = 0
+            upgrades = []
             for c in cs:
-                cost, st = child_cost(c, ("C", "K0", "K1"))
-                total += cost
-                assign[c] = st
-            if total < _INF:
-                dp[v]["P"] = total
-                trace[v]["P"] = (None, assign)
-        # state C: pair with one child c_star in state P
-        if f is None or f[0] == "C":
-            partner_choices = [f[1]] if f is not None else cs
-            base = 0
-            base_assign = {}
-            for c in cs:
-                cost, st = child_cost(c, ("C", "K0", "K1"))
-                base += cost
-                base_assign[c] = st
-            best = (_INF, None)
-            for c_star in partner_choices:
-                p_cost = dp[c_star].get("P", _INF)
-                if p_cost >= _INF:
-                    continue
-                other, _ = child_cost(c_star, ("C", "K0", "K1"))
-                total = 1 + p_cost + (base - other if base < _INF else _INF)
-                if base >= _INF:
-                    # some non-partner child infeasible unless it was c_star itself
-                    rest = 0
-                    ok = True
-                    for c in cs:
-                        if c == c_star:
-                            continue
-                        cost, _st = child_cost(c, ("C", "K0", "K1"))
-                        if cost >= _INF:
-                            ok = False
-                            break
-                        rest += cost
-                    if not ok:
-                        continue
-                    total = 1 + p_cost + rest
-                if total < best[0]:
-                    assign = dict(base_assign)
-                    assign[c_star] = "P"
-                    best = (total, (c_star, assign))
-            if best[0] < _INF:
-                dp[v]["C"] = best[0]
-                trace[v]["C"] = best[1]
-        # states K0/K1: v is a K1 part; children settle on C (counts) or K0
-        if f is None:
-            options = []
-            feasible = True
-            for c in cs:
-                c_cost = dp[c].get("C", _INF)
-                k_cost = dp[c].get("K0", _INF)
-                if c_cost >= _INF and k_cost >= _INF:
-                    feasible = False
-                    break
-                options.append((c, c_cost, k_cost))
-            if feasible:
-                for state, need in (("K1", 1), ("K0", 2)):
-                    total = 0
-                    assign = {}
-                    have = 0
-                    upgrades = []
-                    ok = True
-                    for c, c_cost, k_cost in options:
-                        if c_cost <= k_cost:
-                            total += c_cost
-                            assign[c] = "C"
-                            have += 1
-                        else:
-                            total += k_cost
-                            assign[c] = "K0"
-                            if c_cost < _INF:
-                                upgrades.append((c_cost - k_cost, c))
-                    if have < need:
-                        upgrades.sort()
-                        for delta, c in upgrades[: need - have]:
-                            total += delta
-                            assign[c] = "C"
-                            have += 1
-                        if have < need:
-                            ok = False
-                    if ok and total < _INF:
-                        dp[v][state] = total
-                        trace[v][state] = (None, assign)
+                c_cost, k_cost = cost_c[c], cost_k0[c]
+                if c_cost <= k_cost:
+                    if c_cost >= _INF:
+                        break
+                    total += c_cost
+                    have += 1
+                else:
+                    total += k_cost
+                    if c_cost < _INF:
+                        upgrades.append(c_cost - k_cost)
+            else:
+                if have < 2:
+                    upgrades.sort()
+                    extra = upgrades[: 2 - have]
+                    if have + len(extra) >= 1:
+                        cost_k1[v] = total + sum(extra[: 1 - have])
+                    if have + len(extra) == 2:
+                        cost_k0[v] = total + sum(extra)
+                else:
+                    cost_k1[v] = cost_k0[v] = total
+        best[v] = min(cost_c[v], cost_k0[v], cost_k1[v])
 
     root = order[0]
-    root_states = [s for s in ("C", "K0") if s in dp[root]]
-    if not root_states:
+    if min(cost_c[root], cost_k0[root]) >= _INF:
         raise AssertionError("no simple star partitioning found on a weak tree")
-    best_state = min(root_states, key=lambda s: (dp[root][s], s != "C"))
+    root_c = cost_c[root] <= cost_k0[root]
 
     # parents precede children in the walk, so each vertex's state is known
     # by the time it is reached
-    state_of = {root: best_state}
+    state = ["P"] * n
+    state[root] = "C" if root_c else "K0"
     parts: list[tuple[int, tuple[int, ...]]] = []
     for v in order:
-        state = state_of[v]
-        partner, assign = trace[v][state]
-        if state == "C":
-            a, b = (v, partner) if v < partner else (partner, v)
-            parts.append((a, (b,)))
-        elif state in ("K0", "K1"):
+        s = state[v]
+        cs = children[v]
+        if s == "K0" or s == "K1":
             parts.append((v, ()))
-        state_of.update(assign)
-    return dp[root][best_state], parts
+            have = 0
+            upgrades = []
+            for c in cs:
+                if cost_c[c] <= cost_k0[c]:
+                    state[c] = "C"
+                    have += 1
+                else:
+                    state[c] = "K0"
+                    if cost_c[c] < _INF:
+                        upgrades.append((cost_c[c] - cost_k0[c], c))
+            need = 1 if s == "K1" else 2
+            if have < need:
+                upgrades.sort()
+                for _, c in upgrades[: need - have]:
+                    state[c] = "C"
+            continue
+        for c in cs:
+            b = best[c]
+            state[c] = "C" if cost_c[c] == b else "K0" if cost_k0[c] == b else "K1"
+        if s == "C":
+            w = partner[v]
+            state[w] = "P"
+            parts.append((v, (w,)) if v < w else (w, (v,)))
+    return (cost_c[root] if root_c else cost_k0[root]), parts
 
 
 def _min_partition(red: WeakReduction) -> tuple[int, StarPartition]:
@@ -601,67 +575,3 @@ def alpha_equals_eviction(t: Graph) -> bool:
     through the weak reduction: S(T') must be half of |V(T')|."""
     red = _reduce_nontrivial(t)
     return 2 * _weak_partition_dp(red.reduced)[0] == red.reduced.n
-
-
-# ---------------------------------------------------------------------------
-# tree enumeration (test scaffolding, n <= 10 intended)
-
-def _ahu_key(t: Graph, root: int) -> str:
-    """Rooted canonical encoding: each vertex is "(" + its children's
-    encodings, sorted + ")", built bottom-up along a walk from root."""
-    parent = [-1] * t.n
-    order = [root]
-    for v in order:
-        for u in t.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    subs: list[list[str]] = [[] for _ in range(t.n)]
-    for v in reversed(order[1:]):
-        subs[parent[v]].append("(" + "".join(sorted(subs[v])) + ")")
-    return "(" + "".join(sorted(subs[root])) + ")"
-
-
-def tree_canonical_key(t: Graph) -> str:
-    """Isomorphism-invariant string: rooted canonical encoding minimized over
-    the tree's one or two centers."""
-    _require_tree(t)
-    if t.n == 1:
-        return "()"
-    degree = [t.degree(v) for v in range(t.n)]
-    alive = set(range(t.n))
-    deg = degree[:]
-    layer = [v for v in alive if deg[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-        for v in layer:
-            for u in t.neighbors(v):
-                if u in alive:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return min(_ahu_key(t, c) for c in alive)
-
-
-@lru_cache(maxsize=None)
-def enumerate_trees(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic trees on n >= 2 vertices, deterministically ordered.
-
-    Generated by adding a pendant leaf to every vertex of every (n-1)-tree
-    and deduplicating by canonical key.
-    """
-    if n < 2:
-        raise ContractError("enumeration covers non-trivial trees only")
-    if n == 2:
-        return (Graph(2, [(0, 1)]),)
-    found: dict[str, Graph] = {}
-    for t in enumerate_trees(n - 1):
-        for v in range(t.n):
-            bigger = Graph(t.n + 1, list(t.edges) + [(v, t.n)])
-            key = tree_canonical_key(bigger)
-            if key not in found:
-                found[key] = bigger
-    return tuple(found[k] for k in sorted(found))

@@ -6,9 +6,11 @@ Graph accessors, so disagreements point at the library, not the oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
-from swapsets import Graph
+from swapsets import ContractError, Graph, is_tree
+from swapsets.tree_algorithms import _INF, _rooted
 
 
 def brute_dominating(g: Graph, s) -> bool:
@@ -347,3 +349,206 @@ def gamma_sweep_oracle(rows: int):
                 if c < nxt.get(key, 1 << 30):
                     nxt[key] = c
         cur = nxt
+
+
+def weak_partition_dp_oracle(t: Graph):
+    """The K1/K2 partition DP of `tree_algorithms._weak_partition_dp` as it
+    was first written: a cost dict and a trace dict per vertex, and an
+    assignment dict of the children's states for every state.  Returns the
+    same (weight, parts), ties broken the same way."""
+    n = t.n
+    parent, children, order = _rooted(t)
+    forced: dict[int, tuple] = {}
+    for v in range(n):
+        leaves = [u for u in t.neighbors(v) if t.degree(u) == 1]
+        if len(leaves) == 1:
+            leaf = leaves[0]
+            forced[v] = ("C", leaf) if parent[leaf] == v else ("P",)
+        elif len(leaves) >= 2:
+            raise ContractError("partition DP requires a weak tree")
+
+    dp: list[dict[str, int]] = [dict() for _ in range(n)]
+    trace: list[dict[str, tuple]] = [dict() for _ in range(n)]
+
+    def child_cost(c: int, states: tuple[str, ...]) -> tuple[int, str | None]:
+        best_cost, best_state = _INF, None
+        for s in states:
+            cost = dp[c].get(s, _INF)
+            if cost < best_cost:
+                best_cost, best_state = cost, s
+        return best_cost, best_state
+
+    for v in reversed(order):
+        cs = children[v]
+        f = forced.get(v)
+        # state P: pair with parent; children settle on C/K0/K1
+        if parent[v] != -1 and (f is None or f == ("P",)):
+            total = 0
+            assign = {}
+            for c in cs:
+                cost, st = child_cost(c, ("C", "K0", "K1"))
+                total += cost
+                assign[c] = st
+            if total < _INF:
+                dp[v]["P"] = total
+                trace[v]["P"] = (None, assign)
+        # state C: pair with one child c_star in state P
+        if f is None or f[0] == "C":
+            partner_choices = [f[1]] if f is not None else cs
+            base = 0
+            base_assign = {}
+            for c in cs:
+                cost, st = child_cost(c, ("C", "K0", "K1"))
+                base += cost
+                base_assign[c] = st
+            best = (_INF, None)
+            for c_star in partner_choices:
+                p_cost = dp[c_star].get("P", _INF)
+                if p_cost >= _INF:
+                    continue
+                other, _ = child_cost(c_star, ("C", "K0", "K1"))
+                total = 1 + p_cost + (base - other if base < _INF else _INF)
+                if base >= _INF:
+                    # some non-partner child infeasible unless it was c_star itself
+                    rest = 0
+                    ok = True
+                    for c in cs:
+                        if c == c_star:
+                            continue
+                        cost, _st = child_cost(c, ("C", "K0", "K1"))
+                        if cost >= _INF:
+                            ok = False
+                            break
+                        rest += cost
+                    if not ok:
+                        continue
+                    total = 1 + p_cost + rest
+                if total < best[0]:
+                    assign = dict(base_assign)
+                    assign[c_star] = "P"
+                    best = (total, (c_star, assign))
+            if best[0] < _INF:
+                dp[v]["C"] = best[0]
+                trace[v]["C"] = best[1]
+        # states K0/K1: v is a K1 part; children settle on C (counts) or K0
+        if f is None:
+            options = []
+            feasible = True
+            for c in cs:
+                c_cost = dp[c].get("C", _INF)
+                k_cost = dp[c].get("K0", _INF)
+                if c_cost >= _INF and k_cost >= _INF:
+                    feasible = False
+                    break
+                options.append((c, c_cost, k_cost))
+            if feasible:
+                for state, need in (("K1", 1), ("K0", 2)):
+                    total = 0
+                    assign = {}
+                    have = 0
+                    upgrades = []
+                    ok = True
+                    for c, c_cost, k_cost in options:
+                        if c_cost <= k_cost:
+                            total += c_cost
+                            assign[c] = "C"
+                            have += 1
+                        else:
+                            total += k_cost
+                            assign[c] = "K0"
+                            if c_cost < _INF:
+                                upgrades.append((c_cost - k_cost, c))
+                    if have < need:
+                        upgrades.sort()
+                        for delta, c in upgrades[: need - have]:
+                            total += delta
+                            assign[c] = "C"
+                            have += 1
+                        if have < need:
+                            ok = False
+                    if ok and total < _INF:
+                        dp[v][state] = total
+                        trace[v][state] = (None, assign)
+
+    root = order[0]
+    root_states = [s for s in ("C", "K0") if s in dp[root]]
+    if not root_states:
+        raise AssertionError("no simple star partitioning found on a weak tree")
+    best_state = min(root_states, key=lambda s: (dp[root][s], s != "C"))
+
+    # parents precede children in the walk, so each vertex's state is known
+    # by the time it is reached
+    state_of = {root: best_state}
+    parts: list[tuple[int, tuple[int, ...]]] = []
+    for v in order:
+        state = state_of[v]
+        partner, assign = trace[v][state]
+        if state == "C":
+            a, b = (v, partner) if v < partner else (partner, v)
+            parts.append((a, (b,)))
+        elif state in ("K0", "K1"):
+            parts.append((v, ()))
+        state_of.update(assign)
+    return dp[root][best_state], parts
+
+
+def _ahu_key(t: Graph, root: int) -> str:
+    """Rooted canonical encoding: each vertex is "(" + its children's
+    encodings, sorted + ")", built bottom-up along a walk from root."""
+    parent = [-1] * t.n
+    order = [root]
+    for v in order:
+        for u in t.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    subs: list[list[str]] = [[] for _ in range(t.n)]
+    for v in reversed(order[1:]):
+        subs[parent[v]].append("(" + "".join(sorted(subs[v])) + ")")
+    return "(" + "".join(sorted(subs[root])) + ")"
+
+
+def tree_canonical_key(t: Graph) -> str:
+    """Isomorphism-invariant string: rooted canonical encoding minimized over
+    the tree's one or two centers."""
+    if not is_tree(t):
+        raise ContractError("expected a tree")
+    if t.n == 1:
+        return "()"
+    degree = [t.degree(v) for v in range(t.n)]
+    alive = set(range(t.n))
+    deg = degree[:]
+    layer = [v for v in alive if deg[v] <= 1]
+    while len(alive) > 2:
+        nxt = []
+        for v in layer:
+            alive.discard(v)
+        for v in layer:
+            for u in t.neighbors(v):
+                if u in alive:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return min(_ahu_key(t, c) for c in alive)
+
+
+@lru_cache(maxsize=None)
+def enumerate_trees(n: int) -> tuple[Graph, ...]:
+    """All non-isomorphic trees on n >= 2 vertices, deterministically ordered.
+
+    Generated by adding a pendant leaf to every vertex of every (n-1)-tree
+    and deduplicating by canonical key.
+    """
+    if n < 2:
+        raise ContractError("enumeration covers non-trivial trees only")
+    if n == 2:
+        return (Graph(2, [(0, 1)]),)
+    found: dict[str, Graph] = {}
+    for t in enumerate_trees(n - 1):
+        for v in range(t.n):
+            bigger = Graph(t.n + 1, list(t.edges) + [(v, t.n)])
+            key = tree_canonical_key(bigger)
+            if key not in found:
+                found[key] = bigger
+    return tuple(found[k] for k in sorted(found))

@@ -8,6 +8,7 @@ from pathlib import Path
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swapsets import (
     Graph,
@@ -23,7 +24,7 @@ from swapsets import (
     tree_algorithms,
     weak_reduction,
 )
-from swapsets.cli import load_graph, run
+from swapsets.cli import _dumps, load_graph, run
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +179,71 @@ class TestVerify:
         cpath.write_text("{not json")
         code, _ = run_cli(capsys, "verify", str(gpath), str(cpath))
         assert code == 2
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_INTS = st.integers() | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+_JSON_LEAVES = (st.none() | st.booleans() | _INTS | st.floats() | _TEXT
+                | st.lists(st.tuples(_INTS, _INTS))
+                | st.lists(st.lists(_INTS, max_size=4))
+                | st.lists(_INTS | st.lists(_INTS, max_size=3)))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(_INTS, inner, max_size=3)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """The CLI's writer prints what json.dumps(..., sort_keys=True, indent=2)
+    prints, byte for byte."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[]], [[1, 2], []], [[1], [2, 3]], [(0, 1), (1, 2)], [[[1]]],
+        [1, [2]], [[1], 2], [True, 1], [[True, 1]], [[1.0]], {1: 2, 10: 3, 2: 4},
+        {True: 0}, {None: 0}, {1.5: 0}, float("nan"), float("-inf"), 10 ** 30,
+    ])
+    def test_edge_cases(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_unserializable_values_raise(self):
+        for value in ({(1, 2): 0}, {1, 2}, [object()]):
+            with pytest.raises(TypeError):
+                _dumps(value)
+
+
+class TestMalformedInput:
+    """Bad input is a usage error (exit 2, `error: ...`), never a traceback
+    with exit 1, which means "verification failed"."""
+
+    @pytest.mark.parametrize("certificate", [
+        "[1, 2]",
+        "5",
+        '{"d": [0], "d_prime": [1], "matching": [[0]]}',
+        '{"d": [0], "d_prime": [1]}',
+        '{"certificate": 5}',
+    ])
+    def test_malformed_certificate(self, tmp_path, capsys, certificate):
+        cpath = tmp_path / "c.json"
+        cpath.write_text(certificate)
+        self.assert_usage_error(capsys, "verify", "p2", str(cpath))
+
+    @pytest.mark.parametrize("max_mn", ["-5", "0"])
+    def test_non_positive_max_mn(self, capsys, max_mn):
+        self.assert_usage_error(capsys, "report", "grid", "--max-mn", max_mn)
+
+    @staticmethod
+    def assert_usage_error(capsys, *argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 class TestTree:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import star_partition_order2_oracle
+from helpers import enumerate_trees, star_partition_order2_oracle
 
 from swapsets import (
     ContractError,
@@ -13,7 +13,6 @@ from swapsets import (
     complete_graph,
     cycle_graph,
     dd_m_exact,
-    enumerate_trees,
     is_tree,
     path_graph,
     product_question_scan,

@@ -34,3 +34,23 @@ def test_census_is_the_only_enumeration():
                 if name in ("enumerate_connected_graphs", "canonical_id"):
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_one_json_writer():
+    """Default stdout has one formatter: json.dump and json.dumps are called
+    only inside `cli._dumps`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_dumps":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

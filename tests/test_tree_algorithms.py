@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_alpha,
     brute_gamma,
+    enumerate_trees,
     part_not_a_star_oracle,
     star_partition_weight_oracle,
+    tree_canonical_key,
+    weak_partition_dp_oracle,
 )
 from swapsets import (
     ContractError,
@@ -21,7 +24,6 @@ from swapsets import (
     dd_m_exact,
     dd_m_tree,
     domination_number,
-    enumerate_trees,
     four_way_equality,
     hat_graph,
     independence_number,
@@ -29,11 +31,14 @@ from swapsets import (
     path_graph,
     s_weight,
     star_graph,
-    tree_canonical_key,
     verify_certificate,
     weak_reduction,
 )
-from swapsets.tree_algorithms import swap_set_from_partition, validate_star_partition
+from swapsets.tree_algorithms import (
+    _weak_partition_dp,
+    swap_set_from_partition,
+    validate_star_partition,
+)
 
 
 def random_trees(max_n=9):
@@ -41,6 +46,19 @@ def random_trees(max_n=9):
     def build(draw):
         n = draw(st.integers(min_value=2, max_value=max_n))
         edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v)
+                 for v in range(1, n)]
+        return Graph(n, edges)
+
+    return build()
+
+
+def narrow_trees(max_n=60):
+    """Random trees whose vertex v hangs from one of v-3..v-1: long and
+    thin, where random_trees are shallow and bushy."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=2, max_value=max_n))
+        edges = [(draw(st.integers(min_value=max(0, v - 3), max_value=v - 1)), v)
                  for v in range(1, n)]
         return Graph(n, edges)
 
@@ -142,6 +160,36 @@ class TestSWeight:
     def test_trivial_tree_rejected(self):
         with pytest.raises(ContractError):
             s_weight(Graph(1, []))
+
+
+class TestPartitionDpOracle:
+    """The flat-array DP returns the very (weight, parts) of the dict-based
+    DP it replaced, part order and tie-breaks included."""
+
+    @staticmethod
+    def assert_agrees(t):
+        reduced = weak_reduction(t).reduced
+        if reduced.n >= 2:
+            assert _weak_partition_dp(reduced) == weak_partition_dp_oracle(reduced)
+
+    def test_all_small_trees(self):
+        for n in range(2, 11):
+            for t in enumerate_trees(n):
+                self.assert_agrees(t)
+
+    def test_hat_paths(self):
+        for k in range(1, 201):
+            self.assert_agrees(hat_graph(path_graph(k)))
+
+    @settings(derandomize=True, max_examples=200)
+    @given(random_trees(max_n=40) | narrow_trees())
+    def test_random_trees(self, t):
+        self.assert_agrees(t)
+
+    def test_large_random_tree(self):
+        rng = random.Random(3000)
+        self.assert_agrees(Graph(3000, [(rng.randrange(max(0, v - 3), v), v)
+                                        for v in range(1, 3000)]))
 
 
 class TestStarPartitionShape:
