@@ -147,7 +147,7 @@ def _cmd_tree(args) -> int:
 
 def _construct_payload(g: Graph, cert: SwapCertificate, extra=None) -> dict:
     payload = {
-        "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+        "graph": {"n": g.n, "edges": g.edges},
         "certificate": cert.to_json_dict(),
         "size": cert.size(),
     }

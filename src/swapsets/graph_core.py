@@ -8,8 +8,11 @@ work on bitmasks (one Python int per vertex set), built on first use.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import eq, itemgetter, lt
 from typing import Iterable, Iterator
 
 
@@ -29,6 +32,11 @@ class BudgetError(RuntimeError):
     """An exact solver was asked to run beyond its configured size cap."""
 
 
+# up to this many edges the edge-by-edge scan is faster than the column
+# checks (break-even near 16 edges for sorted lists under CPython 3.11)
+_SCAN_MAX_EDGES = 16
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
@@ -43,18 +51,35 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
+        edges = list(edges)
+        checked = None
+        if len(edges) > _SCAN_MAX_EDGES:
+            # a strictly ascending list repeats no edge, and the other checks
+            # run over whole columns
+            try:
+                if all(map(lt, edges, islice(edges, 1, None))) \
+                        and sum(map(len, edges)) == 2 * len(edges):
+                    us = list(map(itemgetter(0), edges))
+                    vs = list(map(itemgetter(1), edges))
+                    if all(map(lt, us, vs)) and us[0] >= 0 and max(vs) < n:
+                        checked = tuple(map(tuple, edges))
+            except (TypeError, IndexError):
+                pass
+        if checked is None:
+            # edge by edge, which also names the first bad edge
+            seen = set()
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                e = (u, v) if u < v else (v, u)
+                if e in seen:
+                    raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+                seen.add(e)
+            checked = tuple(sorted(seen))
         self.n = n
-        self.edges = tuple(sorted(seen))
+        self.edges = checked
         self.full_mask = (1 << n) - 1
         adj = [[] for _ in range(n)]
         # in sorted edge order each vertex meets its lower neighbors first,
@@ -63,10 +88,13 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
-        self._hash = hash((n, self.edges))
 
     def __getattr__(self, name: str):
-        # reached only while a slot is unset: build the masks on first use
+        # reached only while a slot is unset: build the hash and the masks
+        # on first use
+        if name == "_hash":
+            self._hash = hash((self.n, self.edges))
+            return self._hash
         if name not in ("_open", "_closed"):
             raise AttributeError(name)
         open_masks = []
@@ -144,12 +172,41 @@ def members_of(mask: int) -> frozenset[int]:
 MAX_GRAPH_N = 2_000_000
 
 
+# the text format_graph writes: lines "u v" of unsigned decimal integers,
+# one space apart
+_PLAIN_EDGE_LIST = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse edge-list text: a header line "n m" then m lines "u v".
 
     Blank lines and lines starting with '#' are skipped.  Errors name the
     1-based line number they occurred on.
     """
+    n, edges = _parse_plain(text) or _parse_lines(text)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise GraphParseError(1, str(exc))
+
+
+def _parse_plain(text: str) -> tuple[int, list[tuple[int, int]]] | None:
+    """(n, edges) of a text in format_graph's shape that passes every line
+    check, converted as whole lists; None for any other text, whose faults
+    _parse_lines names by line."""
+    if not _PLAIN_EDGE_LIST.fullmatch(text):
+        return None
+    nums = list(map(int, text.split()))
+    us, vs = nums[2::2], nums[3::2]
+    if nums[0] > MAX_GRAPH_N or len(us) != nums[1] \
+            or (us and max(max(us), max(vs)) >= nums[0]) or any(map(eq, us, vs)):
+        return None
+    return nums[0], list(zip(us, vs))
+
+
+def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) read line by line, or a GraphParseError naming the first
+    line at fault."""
     header = None
     edges = []
     expected = None
@@ -189,17 +246,12 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(1, "empty input, expected header 'n m'")
     if len(edges) != expected:
         raise GraphParseError(1, f"header promised {expected} edges, found {len(edges)}")
-    try:
-        return Graph(header[0], edges)
-    except ValueError as exc:
-        raise GraphParseError(1, str(exc))
+    return header[0], edges
 
 
 def format_graph(g: Graph) -> str:
     """Inverse of parse_graph: header plus one line per edge."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return ("%d %d\n" * (len(g.edges) + 1)) % (g.n, len(g.edges), *chain.from_iterable(g.edges))
 
 
 def path_graph(n: int) -> Graph:
@@ -434,9 +486,9 @@ class SwapCertificate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SwapCertificate":
         try:
-            d = frozenset(int(v) for v in obj["d"])
-            dp = frozenset(int(v) for v in obj["d_prime"])
-            matching = tuple((int(p[0]), int(p[1])) for p in obj["matching"])
+            d = frozenset(map(_json_int, obj["d"]))
+            dp = frozenset(map(_json_int, obj["d_prime"]))
+            matching = tuple((_json_int(p[0]), _json_int(p[1])) for p in obj["matching"])
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"malformed certificate object: {exc}")
         return cls(d, dp, matching)
@@ -445,6 +497,14 @@ class SwapCertificate:
     def build(cls, d: Iterable[int], d_prime: Iterable[int],
               matching: Iterable[tuple[int, int]]) -> "SwapCertificate":
         return cls(frozenset(d), frozenset(d_prime), tuple(sorted(matching)))
+
+
+def _json_int(v) -> int:
+    """v itself if it is a JSON integer; floats, strings and booleans are
+    refused, not converted."""
+    if type(v) is not int:
+        raise ValueError(f"vertex {v!r} is not an integer")
+    return v
 
 
 def certificate_violations(g: Graph, cert: SwapCertificate) -> tuple[str, ...]:

@@ -173,11 +173,20 @@ def tree_product_swap(t: Graph, t_prime: Graph) -> tuple[Graph, SwapCertificate,
     leaf counts; the concrete certificate size is sum of max(2, a+b-1) over
     blocks, which exceeds the bound only through all-K2 blocks.
     """
+    cert, paper_bound = _tile_tree_product(t, t_prime)
+    product = cartesian_product(t, t_prime)
+    if not verify_certificate(product, cert):
+        raise AssertionError("tree product certificate failed verification")
+    return product, cert, paper_bound
+
+
+def _tile_tree_product(t: Graph, t_prime: Graph) -> tuple[SwapCertificate, int]:
+    """tree_product_swap's certificate and bound, without building or
+    checking the product."""
     _require_nontrivial_tree(t)
     _require_nontrivial_tree(t_prime)
     parts = star_partition_order2(t)
     parts_p = star_partition_order2(t_prime)
-    product = cartesian_product(t, t_prime)
     hn = t_prime.n
     d: list[int] = []
     dp: list[int] = []
@@ -196,13 +205,9 @@ def tree_product_swap(t: Graph, t_prime: Graph) -> tuple[Graph, SwapCertificate,
             d.extend(to_vertex(x) for x in layout.d_coords)
             dp.extend(to_vertex(x) for x in layout.d_prime_coords)
             matching.extend((to_vertex(x), to_vertex(y)) for x, y in layout.matching_coords)
-    cert = SwapCertificate.build(d, dp, matching)
     x, l = partition_stats(parts)
     x2, l2 = partition_stats(parts_p)
-    paper_bound = x * x2 * (l + l2 - 1)
-    if not verify_certificate(product, cert):
-        raise AssertionError("tree product certificate failed verification")
-    return product, cert, paper_bound
+    return SwapCertificate.build(d, dp, matching), x * x2 * (l + l2 - 1)
 
 
 def bfs_spanning_tree(g: Graph) -> Graph:
@@ -216,14 +221,15 @@ def bfs_spanning_tree(g: Graph) -> Graph:
 def product_swap_general(g: Graph, h: Graph) -> tuple[Graph, SwapCertificate]:
     """Verified certificate on g box h for any connected non-trivial factors,
     whether or not the factors themselves admit swap pairs: the tree-product
-    tiling on breadth-first spanning trees stays valid in the host product."""
+    tiling on breadth-first spanning trees stays valid in the host product,
+    so only the host product is built and checked."""
     if g.n < 2 or h.n < 2:
         raise ContractError("product factors must be non-trivial")
     if not (is_connected(g) and is_connected(h)):
         raise ContractError("product factors must be connected")
     tg = g if is_tree(g) else bfs_spanning_tree(g)
     th = h if is_tree(h) else bfs_spanning_tree(h)
-    _, cert, _ = tree_product_swap(tg, th)
+    cert, _ = _tile_tree_product(tg, th)
     product = cartesian_product(g, h)
     if not verify_certificate(product, cert):
         raise AssertionError("spanning-tree certificate failed on the host product")

@@ -178,18 +178,23 @@ class WeakReduction:
 def weak_reduction(t: Graph) -> WeakReduction:
     """The weak reduction of a tree; a weak tree is its own reduction."""
     _require_tree(t)
-    drop = set()
+    degree = list(map(t.degree, range(t.n)))
+    kept_leaf = [-1] * t.n
     removed = []
-    for v in range(t.n):
-        leaves = [u for u in t.neighbors(v) if t.degree(u) == 1]
-        if len(leaves) >= 2:
-            for u in leaves[1:]:
-                drop.add(u)
-                removed.append((v, u))
+    # leaves in ascending order, so each stem keeps its lowest-index leaf
+    for u in [u for u, d in enumerate(degree) if d == 1]:
+        (v,) = t.neighbors(u)
+        if kept_leaf[v] == -1:
+            kept_leaf[v] = u
+        else:
+            removed.append((v, u))
     if not removed:
         return WeakReduction(t, (), tuple(range(t.n)))
+    drop = {u for _, u in removed}
     keep = [v for v in range(t.n) if v not in drop]
     index = {v: i for i, v in enumerate(keep)}
+    # t.edges are sorted and index keeps their order, so the reduced edges
+    # arrive sorted
     edges = [(index[u], index[v]) for u, v in t.edges if u not in drop and v not in drop]
     return WeakReduction(Graph(len(keep), edges), tuple(sorted(removed)), tuple(keep))
 
@@ -272,32 +277,25 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
             if c_star != -1 and base + delta < _INF:
                 cost_c[v] = 1 + base + delta
                 partner[v] = c_star
-        # states K0/K1: v is a K1 part; children settle on C (counts) or K0,
-        # and the cheapest upgrades from K0 to C make up the count
+        # states K0/K1: v is a K1 part; children settle on C (counts) or K0.
+        # A K-state short of C children is left infeasible: upgrading a K0
+        # child c to C costs cost_c[c] >= 1 + base_c (as cost_c[c] >
+        # cost_k0[c] >= base_c), while pairing v with c in state P costs no
+        # more, so state C is at least as cheap and wins the tie.
         if f == -1:
             total = have = 0
-            upgrades = []
             for c in cs:
                 c_cost, k_cost = cost_c[c], cost_k0[c]
                 if c_cost <= k_cost:
-                    if c_cost >= _INF:
-                        break
                     total += c_cost
                     have += 1
                 else:
                     total += k_cost
-                    if c_cost < _INF:
-                        upgrades.append(c_cost - k_cost)
-            else:
-                if have < 2:
-                    upgrades.sort()
-                    extra = upgrades[: 2 - have]
-                    if have + len(extra) >= 1:
-                        cost_k1[v] = total + sum(extra[: 1 - have])
-                    if have + len(extra) == 2:
-                        cost_k0[v] = total + sum(extra)
-                else:
-                    cost_k1[v] = cost_k0[v] = total
+            if total < _INF:
+                if have >= 1:
+                    cost_k1[v] = total
+                if have >= 2:
+                    cost_k0[v] = total
         best[v] = min(cost_c[v], cost_k0[v], cost_k1[v])
 
     root = order[0]
@@ -315,21 +313,8 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
         cs = children[v]
         if s == "K0" or s == "K1":
             parts.append((v, ()))
-            have = 0
-            upgrades = []
             for c in cs:
-                if cost_c[c] <= cost_k0[c]:
-                    state[c] = "C"
-                    have += 1
-                else:
-                    state[c] = "K0"
-                    if cost_c[c] < _INF:
-                        upgrades.append((cost_c[c] - cost_k0[c], c))
-            need = 1 if s == "K1" else 2
-            if have < need:
-                upgrades.sort()
-                for _, c in upgrades[: need - have]:
-                    state[c] = "C"
+                state[c] = "C" if cost_c[c] <= cost_k0[c] else "K0"
             continue
         for c in cs:
             b = best[c]

@@ -9,8 +9,80 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from swapsets import ContractError, Graph, is_tree
+from swapsets import ContractError, Graph, GraphParseError, is_tree
+from swapsets.graph_core import MAX_GRAPH_N
 from swapsets.tree_algorithms import _INF, _rooted
+
+
+def graph_oracle(n: int, edges):
+    """(edges, adjacency) of Graph(n, edges) as the constructor first built
+    them, one edge at a time: each edge is checked for range, then for a
+    loop, then for a repeat, and the first bad one raises."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+    adj = [[] for _ in range(n)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(sorted(seen)), tuple(tuple(sorted(a)) for a in adj)
+
+
+def parse_graph_oracle(text: str):
+    """(n, edges, adjacency) of parse_graph(text) as the line-by-line parser
+    first read it, or the GraphParseError it raised."""
+    header = None
+    edges = []
+    expected = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if header is None:
+            if len(fields) != 2:
+                raise GraphParseError(line_no, f"expected header 'n m', got {raw!r}")
+            try:
+                n, m = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise GraphParseError(line_no, f"non-integer header field in {raw!r}")
+            if n < 0 or m < 0:
+                raise GraphParseError(line_no, "header counts must be nonnegative")
+            if n > MAX_GRAPH_N:
+                raise GraphParseError(
+                    line_no, f"header asks for {n} vertices, above the cap of {MAX_GRAPH_N}")
+            header = (n, m)
+            expected = m
+            continue
+        if len(fields) != 2:
+            raise GraphParseError(line_no, f"expected edge 'u v', got {raw!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphParseError(line_no, f"non-integer endpoint in {raw!r}")
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(line_no, f"endpoint out of range 0..{n - 1} in {raw!r}")
+        if u == v:
+            raise GraphParseError(line_no, f"loop at vertex {u}")
+        edges.append((u, v))
+    if header is None:
+        raise GraphParseError(1, "empty input, expected header 'n m'")
+    if len(edges) != expected:
+        raise GraphParseError(1, f"header promised {expected} edges, found {len(edges)}")
+    try:
+        return (header[0], *graph_oracle(header[0], edges))
+    except ValueError as exc:
+        raise GraphParseError(1, str(exc))
 
 
 def brute_dominating(g: Graph, s) -> bool:

@@ -22,6 +22,7 @@ from swapsets import (
     path_graph,
     s_weight,
     tree_algorithms,
+    verify_certificate,
     weak_reduction,
 )
 from swapsets.cli import _dumps, load_graph, run
@@ -228,6 +229,7 @@ class TestMalformedInput:
         '{"d": [0], "d_prime": [1], "matching": [[0]]}',
         '{"d": [0], "d_prime": [1]}',
         '{"certificate": 5}',
+        '{"d": [0.7], "d_prime": ["1"], "matching": [[false, 1.9]]}',
     ])
     def test_malformed_certificate(self, tmp_path, capsys, certificate):
         cpath = tmp_path / "c.json"
@@ -324,6 +326,27 @@ class TestConstruct:
                               capture_output=True, text=True, timeout=60)
         assert proc.stdout == repr([2] * len(argvs)), proc.stderr
         assert proc.stderr.count("above the cap of 2000000") == len(argvs)
+
+    def test_product_builds_only_the_host_product(self, capsys, monkeypatch, tmp_path):
+        # the tiling runs on spanning trees, but only the host product
+        # T x C8 is built and checked
+        rng = random.Random(1000)
+        path = tmp_path / "t.edges"
+        path.write_text(format_graph(Graph(1000, [(rng.randrange(v), v) for v in range(1, 1000)])))
+        sizes = []
+        original = Graph.__init__
+
+        def counted(self, n, edges):
+            sizes.append(n)
+            original(self, n, edges)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        code, obj = run_json(capsys, "construct", "product", str(path), "c8")
+        monkeypatch.undo()
+        assert code == 0
+        assert sizes.count(8000) == 1
+        host = Graph(obj["graph"]["n"], obj["graph"]["edges"])
+        assert verify_certificate(host, SwapCertificate.from_json_dict(obj["certificate"]))
 
 
 class TestGammaDp:

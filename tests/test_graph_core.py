@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_alpha, brute_dominating, brute_gamma
+from helpers import brute_alpha, brute_dominating, brute_gamma, graph_oracle, parse_graph_oracle
 from swapsets import (
     Graph,
     GraphParseError,
@@ -60,6 +60,81 @@ def random_graphs(max_n=7):
     return build()
 
 
+def mixed_edge_lists(max_n=12):
+    """(n, edges): distinct edges, sorted or shuffled, some reversed, with
+    up to two bad edges (out of range, a loop or a repeat) inserted.  Sorted
+    lists of more than 16 edges reach the constructor's column checks."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=0, max_value=max_n))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+        if draw(st.booleans()):
+            edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            kind = draw(st.sampled_from(["range", "loop", "repeat"]))
+            if kind == "range":
+                bad = (draw(st.integers(min_value=-2, max_value=n + 2)),
+                       draw(st.sampled_from([-1, n, n + 1])))
+            elif kind == "loop":
+                v = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+                bad = (v, v)
+            elif edges:
+                u, v = draw(st.sampled_from(edges))
+                bad = draw(st.sampled_from([(u, v), (v, u)]))
+            else:
+                continue
+            if draw(st.booleans()):
+                bad = bad[::-1]
+            edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), bad)
+        order = draw(st.sampled_from(["sorted", "shuffled", "as drawn"]))
+        if order == "sorted":
+            edges.sort()
+        elif order == "shuffled":
+            edges = draw(st.permutations(edges))
+        if draw(st.booleans()):
+            edges = [list(e) for e in edges]
+        return n, edges
+
+    return build()
+
+
+def edge_list_texts(max_n=9):
+    """Edge-list text, sorted as format_graph writes it or shuffled, either
+    in format_graph's layout or with comments,
+    blank lines, tabs, padding and CRLF line ends, and with at most one
+    bad line injected."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=0, max_value=max_n))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+        if draw(st.booleans()):
+            edges = [(v, u) if draw(st.booleans()) else (u, v)
+                     for u, v in draw(st.permutations(edges))]
+        m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+        if draw(st.booleans()):
+            bad = draw(st.sampled_from([
+                "x 1", "1 2 3", "7", "0", f"0 {n}", f"{n + 3} 1", "2 2", "0 0", "-1 0",
+                "+1 0", "1_0 2", "0 1", "1 0", f"{n} {m}", "\u0661 0", "0 1 # note"]))
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), bad)
+        if draw(st.booleans()):
+            sep = draw(st.sampled_from(["\n", "\r\n"]))
+            decorated = []
+            for line in lines:
+                if draw(st.integers(min_value=0, max_value=3)) == 0:
+                    decorated.append(draw(st.sampled_from(["", "# comment", "  ", "\t"])))
+                pad = draw(st.sampled_from(["", " ", "\t"]))
+                decorated.append(pad + line.replace(" ", draw(st.sampled_from([" ", "\t", "  "]))) + pad)
+            lines = decorated
+        else:
+            sep = "\n"
+        return sep.join(lines) + draw(st.sampled_from([sep, ""]))
+
+    return build()
+
+
 class TestGraphBasics:
     def test_construction_normalizes_edges(self):
         g = Graph(3, [(2, 0), (0, 1)])
@@ -74,6 +149,34 @@ class TestGraphBasics:
             Graph(2, [(0, 2)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 1), (1, 0)])
+
+    @settings(derandomize=True, max_examples=400)
+    @given(mixed_edge_lists())
+    def test_construction_matches_per_edge_oracle(self, case):
+        n, edges = case
+        try:
+            want_edges, want_adj = graph_oracle(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Graph(n, edges)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        g = Graph(n, edges)
+        assert g.edges == want_edges
+        assert tuple(map(g.neighbors, range(n))) == want_adj
+        assert hash(g) == hash((n, want_edges))
+        assert g == Graph(n, want_edges) == Graph(n, want_edges[::-1])
+        assert g != Graph(n + 1, want_edges)
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (-2, 5), (7, 20), (19, 20), (19, 21), (4, 4), (4, 5)])
+    def test_long_sorted_lists_name_the_first_bad_edge(self, bad):
+        # strictly ascending lists of more than 16 edges are checked by column
+        edges = sorted([(i, i + 1) for i in range(19)] + [bad])
+        with pytest.raises(ValueError) as want:
+            graph_oracle(20, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(20, edges)
+        assert str(got.value) == str(want.value)
 
     def test_masks(self):
         g = path_graph(4)
@@ -145,6 +248,19 @@ class TestParseFormat:
             tracemalloc.stop()
         assert exc.value.line_no == 2
         assert peak < 100_000
+
+    @settings(derandomize=True, max_examples=400)
+    @given(edge_list_texts())
+    def test_matches_line_by_line_oracle(self, text):
+        try:
+            n, want_edges, want_adj = parse_graph_oracle(text)
+        except GraphParseError as exc:
+            with pytest.raises(GraphParseError) as got:
+                parse_graph(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+            return
+        g = parse_graph(text)
+        assert (g.n, g.edges, tuple(map(g.neighbors, range(g.n)))) == (n, want_edges, want_adj)
 
     @settings(derandomize=True, max_examples=40)
     @given(random_graphs())

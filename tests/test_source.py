@@ -54,3 +54,20 @@ def test_one_json_writer():
                     and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_graphs_are_built_only_by_their_constructor():
+    """`Graph(n, edges)` is the one checked way to build a graph: outside
+    graph_core.py no code calls Graph.__new__, object.__new__ or
+    object.__setattr__, which would skip its checks."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "graph_core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in ("__new__", "__setattr__")
+                    and isinstance(func.value, ast.Name) and func.value.id in ("Graph", "object")):
+                found.append(f"{path.name}:{node.lineno} {func.value.id}.{func.attr}")
+    assert not found, found
