@@ -10,10 +10,8 @@ simple star partitioning, computed here by dynamic programming.
 
 from swapsets import (
     Graph,
-    alpha_equals_ddm,
-    alpha_equals_eviction,
+    analyse_tree,
     dd_m_tree,
-    four_way_equality,
     hat_graph,
     independence_number,
     is_weak_tree,
@@ -53,11 +51,13 @@ assert s_weight(star)[0] == s_weight(red.reduced)[0] + len(red.removed)
 # number all coincide.
 base = path_graph(3)
 hat = hat_graph(base)
-print("\nhat of P3: four-way equality?", four_way_equality(hat))
+print("\nhat of P3: four-way equality?",
+      analyse_tree(hat).to_json_dict()["gamma_equals_alpha"])
 print("  alpha =", independence_number(hat), "= swap number =", dd_m_tree(hat).k)
 
-# The two finer characterizations separate on small paths.
+# The two finer characterizations separate on small paths; analyse_tree
+# reads every flag off one partition DP, as `swapsets tree` prints them.
 for n in (4, 5, 6):
-    t = path_graph(n)
-    print(f"P{n}: alpha==swap {alpha_equals_ddm(t)}, "
-          f"alpha==eviction {alpha_equals_eviction(t)}")
+    flags = analyse_tree(path_graph(n)).to_json_dict()
+    print(f"P{n}: alpha==swap {flags['alpha_equals_swap_number']}, "
+          f"alpha==eviction {flags['alpha_equals_eviction']}")

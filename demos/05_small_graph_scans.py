@@ -44,10 +44,8 @@ hoarder = parse_graph("6 6\n0 1\n0 2\n0 3\n1 4\n1 5\n4 5\n")
 print("\nhoarder graph: alpha =", independence_number(hoarder),
       "strong =", is_strong_graph(hoarder),
       "swap number =", dd_m_exact(hoarder).to_json_dict()["ddm"])
-try:
-    alpha3_swap_with_stage(hoarder)
-except AssertionError as exc:
-    print("construction refuses:", exc)
+if alpha3_swap_with_stage(hoarder) is None:
+    print("construction finds no swap pair: the graph has a strong stem")
 
 # Whenever a swap set exists at alpha = 3, size three suffices.
 bound = alpha3_bound_check(7)

@@ -235,12 +235,12 @@ def _scan_alpha3(max_n: int) -> tuple[dict, int]:
         if rec.n < 6 or rec.alpha != 3:
             continue
         checked += 1
-        try:
-            cert, stage = alpha3_swap_with_stage(rec.graph)
-        except AssertionError:
+        found = alpha3_swap_with_stage(rec.graph)
+        if found is None:
             no_swap.append({"graph_id": rec.graph_id,
                             "graph": format_graph(rec.graph)})
             continue
+        cert, stage = found
         if not verify_certificate(rec.graph, cert):
             print(f"error: {stage} certificate for graph {rec.graph_id} "
                   "failed verification", file=sys.stderr)

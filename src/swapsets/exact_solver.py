@@ -41,14 +41,6 @@ class DdmResult:
     k: int | None = None
     certificate: SwapCertificate | None = None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.status == FINITE
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.status == INFINITE
-
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
         if self.status == FINITE:
@@ -139,20 +131,19 @@ def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
     return DdmResult(INFINITE)
 
 
-def dd_m_exact(g: Graph, node_budget: int = 100_000_000,
-               use_strong_shortcut: bool = True) -> DdmResult:
+def dd_m_exact(g: Graph, node_budget: int = 100_000_000) -> DdmResult:
     """Exact swap number with certificate.
 
     Searches k from the domination number up to n//2, enumerating candidate
     (D, D') pairs; node_budget bounds how many pairs are examined.  The
     returned certificate is the lexicographically least one at the minimum k
     (least D, then least D', then least matching).  A vertex with two or more
-    leaf neighbors makes every outcome infinite, so that case short-circuits
-    unless use_strong_shortcut is off.
+    leaf neighbors makes every outcome infinite, so that case short-circuits;
+    swap_pair_below(g, g.n // 2 + 1) runs the same search without it.
     """
     if g.n == 0:
         raise ContractError("swap number needs a non-empty graph")
-    if use_strong_shortcut and is_strong_graph(g):
+    if is_strong_graph(g):
         return DdmResult(INFINITE)
     return _first_pair(g, range(domination_number(g), g.n // 2 + 1), node_budget)
 

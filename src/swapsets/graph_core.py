@@ -363,22 +363,16 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and len(g.edges) == g.n - 1 and is_connected(g)
 
 
-def classify_stems(g: Graph) -> tuple[str, ...]:
-    """Label every vertex 'none', 'weak', or 'strong' by its count of leaf neighbors.
-
-    A leaf is a degree-1 vertex; a weak stem has exactly one leaf neighbor,
-    a strong stem two or more.
-    """
-    labels = []
-    for v in range(g.n):
-        leaf_nbrs = sum(1 for u in g.neighbors(v) if g.degree(u) == 1)
-        labels.append("none" if leaf_nbrs == 0 else "weak" if leaf_nbrs == 1 else "strong")
-    return tuple(labels)
-
-
 def is_strong_graph(g: Graph) -> bool:
-    """True iff some vertex has two or more degree-1 neighbors."""
-    return "strong" in classify_stems(g)
+    """True iff some vertex is a strong stem: it has two or more degree-1
+    neighbors (leaves)."""
+    stems = set()
+    for nbrs in g._adj:
+        if len(nbrs) == 1:
+            if nbrs[0] in stems:
+                return True
+            stems.add(nbrs[0])
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +581,11 @@ def independence_number(g: Graph) -> int:
     return best
 
 
-def _exists_dominating(g: Graph, k: int) -> bool:
-    """Is there a dominating set of size at most k?"""
+def has_dominating_set(g: Graph, k: int) -> bool:
+    """Is there a dominating set of size at most k?  Cheaper than computing
+    the domination number when only a threshold matters."""
+    if k < 0:
+        return False
     max_cover = max((m.bit_count() for m in g._closed), default=1)
 
     def rec(undominated: int, slots: int) -> bool:
@@ -605,14 +602,6 @@ def _exists_dominating(g: Graph, k: int) -> bool:
     return rec(g.full_mask, k)
 
 
-def has_dominating_set(g: Graph, k: int) -> bool:
-    """Is there a dominating set of size at most k?  Cheaper than computing
-    the domination number when only a threshold matters."""
-    if k < 0:
-        return False
-    return _exists_dominating(g, k)
-
-
 def domination_number(g: Graph) -> int:
     """Exact domination number by increasing-cardinality search."""
     if g.n > MAX_DOMINATION_N:
@@ -621,7 +610,7 @@ def domination_number(g: Graph) -> int:
         return 0
     lb = -(-g.n // max(m.bit_count() for m in g._closed))
     for k in range(lb, g.n + 1):
-        if _exists_dominating(g, k):
+        if has_dominating_set(g, k):
             return k
     raise AssertionError("unreachable: V(g) dominates g")
 
@@ -644,11 +633,3 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for b in range(h.n):
             edges.append((u * h.n + b, v * h.n + b))
     return Graph(g.n * h.n, edges)
-
-
-def product_index(h: Graph, a: int, b: int) -> int:
-    return a * h.n + b
-
-
-def product_coords(h: Graph, idx: int) -> tuple[int, int]:
-    return divmod(idx, h.n)

@@ -48,11 +48,6 @@ class GridSpec:
             raise ContractError(f"({i},{j}) outside {self.m}x{self.n} grid")
         return (i - 1) * self.n + (j - 1)
 
-    def cells(self):
-        for i in range(1, self.m + 1):
-            for j in range(1, self.n + 1):
-                yield (i, j)
-
 
 @dataclass(frozen=True)
 class TokenBoard:

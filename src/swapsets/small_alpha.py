@@ -317,16 +317,17 @@ def _saturating_triples(g: Graph, i_set: tuple[int, ...]):
                 yield (a, b, c)
 
 
-def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str]:
+def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
     """Swap certificate plus the name of the search stage that produced it:
     "matched-dominating" when some saturating matching's partner set already
     dominates, "q-augmented" when extending both sides into the undominated
     region works, "pool-search" when a small pair inside the touched pool
     works, and "fallback" for the exhaustive solver.
 
-    Raises AssertionError("no swap set exists ...") when g has a strong stem
-    (a vertex with two or more pendant neighbors), since then no swap pair
-    exists."""
+    Returns None when the exhaustive solver finds no swap pair.  That
+    happens exactly when g has a strong stem (a vertex with two or more
+    pendant neighbors), so the alpha = 3 existence guarantee fails on
+    strong graphs."""
     if not is_connected(g):
         raise ContractError("alpha3_swap needs a connected graph")
     if g.n < 6:
@@ -399,22 +400,8 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str]:
 
     result = dd_m_exact(g)
     if result.status != FINITE:
-        # reachable: a vertex with two pendant neighbors blocks every swap
-        # pair regardless of independence number, so the claimed existence
-        # guarantee has counterexamples among strong graphs
-        raise AssertionError(
-            "no swap set exists for this graph: the alpha=3 existence "
-            "guarantee fails on graphs with a strong stem")
+        return None
     return result.certificate, "fallback"
-
-
-def alpha3_swap_exists(g: Graph) -> SwapCertificate:
-    """A verified swap certificate for a connected graph on at least six
-    vertices with independence number 3.  Such a graph has a swap set iff it
-    has no strong stem (a vertex with two or more pendant neighbors); on a
-    strong graph this raises AssertionError, as alpha3_swap_with_stage does."""
-    cert, _ = alpha3_swap_with_stage(g)
-    return cert
 
 
 # ---------------------------------------------------------------------------

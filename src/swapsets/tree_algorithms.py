@@ -82,17 +82,6 @@ class StarPartition:
             "weight": self.weight,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StarPartition":
-        try:
-            raw = [(int(p["center"]), [int(v) for v in p["leaves"]]) for p in obj["parts"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed star partition object: {exc}")
-        sp = cls.build(raw)
-        if "weight" in obj and obj["weight"] != sp.weight:
-            raise ValueError(f"stated weight {obj['weight']} != computed {sp.weight}")
-        return sp
-
 
 def validate_star_partition(t: Graph, p: StarPartition) -> tuple[str, ...]:
     """All violations of the simple-star-partitioning conditions, empty if valid.
@@ -170,9 +159,6 @@ class WeakReduction:
     reduced: Graph
     removed: tuple[tuple[int, int], ...]
     embedding: tuple[int, ...]
-
-    def original_of(self, v: int) -> int:
-        return self.embedding[v]
 
 
 def weak_reduction(t: Graph) -> WeakReduction:
@@ -365,7 +351,7 @@ def s_weight(t: Graph) -> tuple[int, StarPartition]:
 # ---------------------------------------------------------------------------
 # Swap certificate from a K1/K2 partition
 
-def swap_set_from_partition(t: Graph, p: StarPartition) -> SwapCertificate:
+def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     """Convert a K1/K2 simple star partitioning of a weak tree into a swap
     certificate of the same size.
 
@@ -376,21 +362,9 @@ def swap_set_from_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     unlabeled neighbor gets whichever label is missing; if all neighbors are
     labeled with one label only, every labeled vertex in the component of
     t minus the K1 center containing the first such neighbor has its label
-    flipped.
+    flipped.  The partition is unchecked: callers pass the K1/K2 partition
+    that _min_partition builds for a weak tree.
     """
-    _require_nontrivial_tree(t)
-    if is_strong_graph(t):
-        raise ContractError("swap sets exist only on weak trees")
-    bad = validate_star_partition(t, p)
-    if bad:
-        raise ContractError(f"invalid star partition: {bad[0]}")
-    if any(len(ls) > 1 for _, ls in p.parts):
-        raise ContractError("partition must contain only K1 and K2 parts")
-    return _label_partition(t, p)
-
-
-def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
-    """swap_set_from_partition without its checks of t and p."""
     part_of = p.part_of()
     k2_edge = {i: (c, ls[0]) for i, (c, ls) in enumerate(p.parts) if ls}
     label: dict[int, str] = {}  # vertex -> "D" | "D'"
@@ -514,7 +488,7 @@ def analyse_tree(t: Graph) -> TreeAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# hat graphs and equality characterizations
+# hat graphs
 
 def hat_graph(h: Graph) -> Graph:
     """Attach a pendant leaf n+i to every vertex i."""
@@ -522,17 +496,11 @@ def hat_graph(h: Graph) -> Graph:
     return Graph(2 * h.n, edges)
 
 
-def four_way_equality(t: Graph) -> bool:
+def _is_hat(t: Graph) -> bool:
     """True iff the tree is a hat of a tree on half its vertices: every
     non-leaf has exactly one leaf neighbor and leaves are half the order.
     Exactly these trees have gamma = eviction = swap number = independence
     number all equal."""
-    _require_nontrivial_tree(t)
-    return _is_hat(t)
-
-
-def _is_hat(t: Graph) -> bool:
-    """four_way_equality without its tree check."""
     if t.n == 2:
         return True
     if t.n % 2:
@@ -547,16 +515,3 @@ def _is_hat(t: Graph) -> bool:
             return False
     return True
 
-
-def alpha_equals_ddm(t: Graph) -> bool:
-    """True iff the independence number equals the swap number: the tree is
-    weak and S(t) is half the order."""
-    red = _reduce_nontrivial(t)
-    return not red.removed and 2 * _weak_partition_dp(t)[0] == t.n
-
-
-def alpha_equals_eviction(t: Graph) -> bool:
-    """True iff the independence number equals the eviction number, decided
-    through the weak reduction: S(T') must be half of |V(T')|."""
-    red = _reduce_nontrivial(t)
-    return 2 * _weak_partition_dp(red.reduced)[0] == red.reduced.n

@@ -13,11 +13,8 @@ from hypothesis import given, settings, strategies as st
 from swapsets import (
     Graph,
     SwapCertificate,
-    alpha_equals_ddm,
-    alpha_equals_eviction,
     dd_m_tree,
     format_graph,
-    four_way_equality,
     is_weak_tree,
     path_graph,
     s_weight,
@@ -56,19 +53,31 @@ def _random_tree(n: int, weak: bool) -> Graph:
     return Graph(n, edges)
 
 
+def _is_hat_shape(t: Graph) -> bool:
+    """K2, or a tree whose leaves are half its vertices and whose every
+    other vertex has exactly one leaf neighbour."""
+    leaf = [t.degree(v) == 1 for v in range(t.n)]
+    return t.n == 2 or (2 * sum(leaf) == t.n and all(
+        leaf[v] or sum(leaf[u] for u in t.neighbors(v)) == 1 for v in range(t.n)))
+
+
 def _separate_payload(t: Graph) -> dict:
-    """The `tree` payload assembled from the separate public functions."""
+    """The `tree` payload assembled from the separate public functions, with
+    each flag taken from its definition: a hat shape, 2 S(T) = n on a weak
+    tree, and 2 S(T') = |T'| on the weak reduction T'."""
     weight, partition = s_weight(t)
+    weak = is_weak_tree(t)
+    red = weak_reduction(t)
     return json.loads(json.dumps({
         "n": t.n,
-        "is_weak": is_weak_tree(t),
+        "is_weak": weak,
         "s_weight": weight,
         "partition": partition.to_json_dict(),
-        "reduction_removed": len(weak_reduction(t).removed),
+        "reduction_removed": len(red.removed),
         "result": dd_m_tree(t).to_json_dict(),
-        "gamma_equals_alpha": four_way_equality(t),
-        "alpha_equals_swap_number": alpha_equals_ddm(t),
-        "alpha_equals_eviction": alpha_equals_eviction(t),
+        "gamma_equals_alpha": _is_hat_shape(t),
+        "alpha_equals_swap_number": weak and 2 * weight == t.n,
+        "alpha_equals_eviction": 2 * s_weight(red.reduced)[0] == red.reduced.n,
     }))
 
 
@@ -376,11 +385,12 @@ class TestScan:
         tampered = []
 
         def first_certificate_broken(g):
-            cert, stage = real(g)
-            if not tampered:
-                tampered.append(small_alpha.canonical_id(g))
-                cert = SwapCertificate.build(cert.d, cert.d, cert.matching)
-            return cert, stage
+            found = real(g)
+            if found is None or tampered:
+                return found
+            cert, stage = found
+            tampered.append(small_alpha.canonical_id(g))
+            return SwapCertificate.build(cert.d, cert.d, cert.matching), stage
 
         monkeypatch.setattr(small_alpha, "alpha3_swap_with_stage",
                             first_certificate_broken)

@@ -103,8 +103,8 @@ class TestBudget:
         # all at k = 3, and no pair
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
         assert canonical_id(g) == "6-818a04"
-        assert dd_m_exact(g, node_budget=5, use_strong_shortcut=False).status == BUDGET_EXCEEDED
-        assert dd_m_exact(g, node_budget=6, use_strong_shortcut=False).status == INFINITE
+        assert swap_pair_below(g, g.n // 2 + 1, node_budget=5).status == BUDGET_EXCEEDED
+        assert swap_pair_below(g, g.n // 2 + 1, node_budget=6).status == INFINITE
         # the first candidate pair of the nine-vertex graph is its certificate
         nine = subdivided_doubled_triangle()
         assert dd_m_exact(nine, node_budget=0).status == BUDGET_EXCEEDED
@@ -113,10 +113,12 @@ class TestBudget:
 
 class TestStrongShortcut:
     def test_shortcut_matches_search(self):
+        # swap_pair_below up to n//2 runs dd_m_exact's search without its
+        # strong-stem shortcut
         for n in range(2, 7):
             for g in enumerate_connected_graphs(n):
                 fast = dd_m_exact(g).status
-                slow = dd_m_exact(g, use_strong_shortcut=False).status
+                slow = swap_pair_below(g, g.n // 2 + 1).status
                 assert fast == slow
 
 

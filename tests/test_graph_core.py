@@ -32,12 +32,9 @@ from swapsets import (
 from swapsets.graph_core import (
     MAX_GRAPH_N,
     bfs_tree,
-    classify_stems,
     lex_least_matching,
     mask_of,
     members_of,
-    product_coords,
-    product_index,
 )
 
 
@@ -327,9 +324,11 @@ class TestPredicates:
         assert not is_tree(Graph(3, [(0, 1)]))
 
     def test_stems(self):
-        assert classify_stems(path_graph(2)) == ("weak", "weak")
-        kinds = classify_stems(star_graph(3))
-        assert kinds[0] == "strong"
+        assert not is_strong_graph(path_graph(2))
+        assert is_strong_graph(star_graph(3))
+        # a triangle with pendant leaves: strong only when one vertex holds two
+        assert not is_strong_graph(Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]))
+        assert is_strong_graph(Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]))
         assert not is_strong_graph(path_graph(5))
         assert is_strong_graph(star_graph(2))
         spider = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
@@ -467,10 +466,15 @@ class TestCartesianProduct:
         assert prod.edge_count() == g.n * h.edge_count() + h.n * g.edge_count()
 
     def test_index_coords_round_trip(self):
-        h = cycle_graph(5)
-        for a in range(3):
-            for b in range(5):
-                assert product_coords(h, product_index(h, a, b)) == (a, b)
+        # vertex (a, b) of g x h has flat id a * h.n + b
+        g, h = path_graph(3), cycle_graph(5)
+        prod = cartesian_product(g, h)
+        for x in range(prod.n):
+            a, b = divmod(x, h.n)
+            for y in range(prod.n):
+                c, d = divmod(y, h.n)
+                assert prod.has_edge(x, y) == ((a == c and h.has_edge(b, d))
+                                               or (b == d and g.has_edge(a, c)))
 
     def test_grid_is_path_product(self):
         prod = cartesian_product(path_graph(4), path_graph(3))

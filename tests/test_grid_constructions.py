@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -106,7 +106,7 @@ class TestGridConstruction:
             m, n = rng.randint(1, 12), rng.randint(1, 12)
             density = rng.random()
             black, white = set(), set()
-            for cell in GridSpec(m, n).cells():
+            for cell in product(range(1, m + 1), range(1, n + 1)):
                 x = rng.random()
                 if x < density / 2:
                     black.add(cell)

@@ -18,13 +18,11 @@ from swapsets import (
     Graph,
     INFINITE,
     StarPartition,
-    alpha_equals_ddm,
-    alpha_equals_eviction,
+    analyse_tree,
     cycle_graph,
     dd_m_exact,
     dd_m_tree,
     domination_number,
-    four_way_equality,
     hat_graph,
     independence_number,
     is_weak_tree,
@@ -35,8 +33,8 @@ from swapsets import (
     weak_reduction,
 )
 from swapsets.tree_algorithms import (
+    _label_partition,
     _weak_partition_dp,
-    swap_set_from_partition,
     validate_star_partition,
 )
 
@@ -114,7 +112,7 @@ class TestWeakReduction:
     def test_embedding_maps_back(self):
         t = star_graph(3)
         red = weak_reduction(t)
-        kept = {red.original_of(v) for v in range(red.reduced.n)}
+        kept = set(red.embedding)
         dropped = {leaf for _, leaf in red.removed}
         assert kept | dropped == set(range(t.n))
         assert kept & dropped == set()
@@ -193,16 +191,6 @@ class TestPartitionDpOracle:
 
 
 class TestStarPartitionShape:
-    def test_json_round_trip(self):
-        _, partition = s_weight(spider(1, 2, 2))
-        assert StarPartition.from_json_dict(partition.to_json_dict()) == partition
-
-    def test_json_weight_mismatch_rejected(self):
-        obj = s_weight(path_graph(4))[1].to_json_dict()
-        obj["weight"] += 1
-        with pytest.raises(ValueError):
-            StarPartition.from_json_dict(obj)
-
     def test_validator_catches_overlap(self):
         t = path_graph(4)
         bad = StarPartition.build([(0, [1]), (1, [2]), (3, [])])
@@ -260,14 +248,9 @@ class TestSwapFromPartition:
                 if not is_weak_tree(t):
                     continue
                 weight, partition = s_weight(t)
-                cert = swap_set_from_partition(t, partition)
+                cert = _label_partition(t, partition)
                 assert verify_certificate(t, cert)
                 assert cert.size() == weight
-
-    def test_strong_tree_rejected(self):
-        t = star_graph(3)
-        with pytest.raises(ContractError):
-            swap_set_from_partition(t, s_weight(t)[1])
 
 
 class TestDdmTree:
@@ -323,29 +306,34 @@ class TestDdmTree:
         assert verify_certificate(t, result.certificate)
 
 
+def flag(t, key):
+    """One equality flag of the `tree` payload."""
+    return analyse_tree(t).to_json_dict()[key]
+
+
 class TestCharacterizations:
     def test_hat_graphs_hit_four_way_equality(self):
         for base in (path_graph(3), path_graph(4), spider(1, 1, 2), star_graph(3)):
             hat = hat_graph(base)
-            assert four_way_equality(hat)
+            assert flag(hat, "gamma_equals_alpha")
             assert domination_number(hat) == independence_number(hat)
 
     def test_four_way_equality_matches_gamma_alpha(self):
         for n in range(2, 10):
             for t in enumerate_trees(n):
-                assert four_way_equality(t) == (brute_gamma(t) == brute_alpha(t))
+                assert flag(t, "gamma_equals_alpha") == (brute_gamma(t) == brute_alpha(t))
 
     def test_alpha_equals_ddm_against_brute_force(self):
         for n in range(2, 10):
             for t in enumerate_trees(n):
                 result = dd_m_tree(t)
                 truth = result.status == FINITE and result.k == brute_alpha(t)
-                assert alpha_equals_ddm(t) == truth
+                assert flag(t, "alpha_equals_swap_number") == truth
 
     def test_alpha_equals_eviction_against_brute_force(self):
         for n in range(2, 10):
             for t in enumerate_trees(n):
-                assert alpha_equals_eviction(t) == (brute_alpha(t) == s_weight(t)[0])
+                assert flag(t, "alpha_equals_eviction") == (brute_alpha(t) == s_weight(t)[0])
 
     def test_ddm_at_most_alpha_on_weak_trees(self):
         for n in range(2, 10):
@@ -360,7 +348,7 @@ class TestCharacterizations:
         (star_graph(3), False),
     ])
     def test_alpha_equals_ddm_examples(self, t, expected):
-        assert alpha_equals_ddm(t) == expected
+        assert flag(t, "alpha_equals_swap_number") == expected
 
     @pytest.mark.parametrize("t,expected", [
         (path_graph(4), True),
@@ -368,7 +356,7 @@ class TestCharacterizations:
         (path_graph(5), False),
     ])
     def test_alpha_equals_eviction_examples(self, t, expected):
-        assert alpha_equals_eviction(t) == expected
+        assert flag(t, "alpha_equals_eviction") == expected
 
 
 class TestEnumeration:
