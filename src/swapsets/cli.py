@@ -371,7 +371,7 @@ def run(argv: list[str]) -> int:
                       file=sys.stderr)
                 return 2
         return handlers[args.command](args)
-    except (GraphParseError, ContractError, FileNotFoundError,
+    except (GraphParseError, ContractError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ the host graph.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .exact_solver import dd_m_exact, swap_pair_below, INFINITE, FINITE
@@ -270,19 +271,9 @@ class ProductScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _times(a, b):
-    if a == "infinity" or b == "infinity":
-        return "infinity"
-    return a * b
-
-
-def _lt(a, b) -> bool:
-    """a < b under the 'infinity' convention."""
-    if b == "infinity":
-        return a != "infinity"
-    if a == "infinity":
-        return False
-    return a < b
+def _as_number(ddm):
+    """A census swap number as a number: "infinity" becomes math.inf."""
+    return math.inf if ddm == "infinity" else ddm
 
 
 # products up to this many vertices get their exact swap number tabulated
@@ -312,27 +303,26 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
             g, h = a.graph, b.graph
             if g.n * h.n > max_vertices:
                 continue
-            g_id, gamma_g, ddm_g = a.graph_id, a.gamma, a.ddm
-            h_id, gamma_h, ddm_h = b.graph_id, b.gamma, b.ddm
+            g_id, gamma_g, ddm_g = a.graph_id, a.gamma, _as_number(a.ddm)
+            h_id, gamma_h, ddm_h = b.graph_id, b.gamma, _as_number(b.ddm)
             product, cert = product_swap_general(g, h)
             upper = cert.size()
             gg = gamma_g * gamma_h
-            min_expr = min(_times(ddm_g, gamma_h), _times(gamma_g, ddm_h),
-                           key=lambda x: (x == "infinity", x if x != "infinity" else 0))
+            min_expr = min(ddm_g * gamma_h, gamma_g * ddm_h)
+            min_text = "infinity" if min_expr == math.inf else str(min_expr)
             ddm_cell: str
-            ddm_val = None
             violation = "none"
             counterexample_cert = None
             if product.n <= EXACT_PRODUCT_N:
                 res = dd_m_exact(product)
                 if res.status != FINITE:  # the construction guarantees a pair
                     raise AssertionError("exact solver missed the constructed pair")
-                ddm_val = res.k
-                ddm_cell = str(ddm_val)
-                if ddm_val < gg:
+                ddm_cell = str(res.k)
+                if res.k < gg:
                     violation = "gg"
-                elif _lt(ddm_val, min_expr):
+                elif res.k < min_expr:
                     violation = "min"
+                counterexample_cert = res.certificate
             else:
                 lo = gg
                 if has_dominating_set(product, gg - 1):
@@ -346,10 +336,10 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
                         violation = "unknown"
                 ddm_cell = f"{lo}..{upper}"
                 if violation == "none":
-                    if _lt(upper, min_expr):
+                    if upper < min_expr:
                         violation = "min"
                         counterexample_cert = cert
-                    elif min_expr != "infinity" and min_expr > gg and \
+                    elif gg < min_expr < math.inf and \
                             has_dominating_set(product, min_expr - 1):
                         found = swap_pair_below(product, min_expr,
                                                 node_budget=PAIR_BUDGET)
@@ -362,13 +352,9 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
                 entry = {
                     "g_id": g_id, "h_id": h_id, "question": violation,
                     "ddm_product": ddm_cell, "gamma_g": gamma_g, "gamma_h": gamma_h,
-                    "min_expr": str(min_expr),
+                    "min_expr": min_text, "certificate": counterexample_cert.to_json_dict(),
                 }
-                if counterexample_cert is None and ddm_val is not None:
-                    counterexample_cert = dd_m_exact(product).certificate
-                if counterexample_cert is not None:
-                    entry["certificate"] = counterexample_cert.to_json_dict()
                 report.counterexamples.append(entry)
             report.rows.append(ProductScanRow(
-                g_id, h_id, ddm_cell, gamma_g, gamma_h, str(min_expr), violation))
+                g_id, h_id, ddm_cell, gamma_g, gamma_h, min_text, violation))
     return report

@@ -3,8 +3,11 @@
 The minimum weight S(T) of a simple star partitioning of a non-trivial tree
 equals the tree's swap number whenever the tree is weak (no vertex has two or
 more leaf neighbors), and a minimum partition converts into a swap
-certificate by a deterministic labeling pass.  Strong trees have no swap
-pair, but S(T) still makes sense and reduces leaf-by-leaf to the weak
+certificate in one top-down pass over the breadth-first order: each K1
+center hands the labels it still lacks to the K2 parts of its children, and
+every other K2 part puts its lower endpoint in D.  The DP, the labeling and
+the check of the certificate are each linear in the tree.  Strong trees have
+no swap pair, but S(T) still makes sense and reduces leaf-by-leaf to the weak
 reduction: each stripped leaf adds one to the weight and rejoins its stem's
 star part on the way back out.
 """
@@ -67,14 +70,6 @@ class StarPartition:
             else:
                 norm.append((center, tuple(v for v in members if v != center)))
         return cls(tuple(sorted(norm)), total)
-
-    def part_of(self) -> dict[int, int]:
-        out = {}
-        for i, (c, leaves) in enumerate(self.parts):
-            out[c] = i
-            for v in leaves:
-                out[v] = i
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,83 +348,44 @@ def s_weight(t: Graph) -> tuple[int, StarPartition]:
 
 def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     """Convert a K1/K2 simple star partitioning of a weak tree into a swap
-    certificate of the same size.
+    certificate of the same size, in one top-down pass.
 
     Each K2 part contributes one endpoint to D and the other to D', matched
-    along the part's edge.  K1 parts carry no tokens but force their
-    neighboring K2 parts to expose both labels: processing K1 parts by
-    ascending center, an unlabeled neighbor pair gets (D, D'); a single
-    unlabeled neighbor gets whichever label is missing; if all neighbors are
-    labeled with one label only, every labeled vertex in the component of
-    t minus the K1 center containing the first such neighbor has its label
-    flipped.  The partition is unchecked: callers pass the K1/K2 partition
-    that _min_partition builds for a weak tree.
+    along the part's edge; by default its lower-index endpoint goes to D.
+    A K1 center u needs a neighbor of each label.  Walking the tree from
+    vertex 0 in breadth-first order, u's parent is labeled before u is
+    reached, while each child of u in a K2 part pairs with a vertex below it
+    and is still unlabeled; u hands the labels it lacks, D before D', to
+    those children in ascending order.  The partition conditions give u two
+    such neighbor parts, so no label is ever revisited.  The partition is
+    unchecked: callers pass the K1/K2 partition that _min_partition builds
+    for a weak tree.
     """
-    part_of = p.part_of()
-    k2_edge = {i: (c, ls[0]) for i, (c, ls) in enumerate(p.parts) if ls}
-    label: dict[int, str] = {}  # vertex -> "D" | "D'"
+    parent, children, order = _rooted(t)
+    mate = [-1] * t.n
+    for c, leaves in p.parts:
+        if leaves:
+            (w,) = leaves
+            mate[c], mate[w] = w, c
+    in_d: list[bool | None] = [None] * t.n  # None until the vertex's part is labeled
+    for u in order:
+        w = mate[u]
+        if w != -1:
+            if in_d[u] is None:
+                in_d[u], in_d[w] = u < w, w < u
+            continue
+        lacking = [True, False]  # D, D'
+        pu = parent[u]
+        if pu != -1 and mate[pu] != -1:
+            lacking.remove(in_d[pu])
+        for c in children[u]:
+            if lacking and mate[c] != -1:
+                side = lacking.pop(0)
+                in_d[c], in_d[mate[c]] = side, not side
 
-    def set_pair(i: int, d_end: int) -> None:
-        a, b = k2_edge[i]
-        other = b if d_end == a else a
-        label[d_end] = "D"
-        label[other] = "D'"
-
-    def flip_component(avoid: int, start: int) -> None:
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors(x):
-                if y != avoid and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        for x in comp:
-            if x in label:
-                label[x] = "D" if label[x] == "D'" else "D'"
-
-    k1_centers = sorted(c for i, (c, ls) in enumerate(p.parts) if not ls)
-    for u in k1_centers:
-        nbr_parts = []
-        seen_parts = set()
-        for x in sorted(t.neighbors(u)):
-            i = part_of[x]
-            if i in k2_edge and i not in seen_parts:
-                seen_parts.add(i)
-                nbr_parts.append((x, i))  # x is the endpoint adjacent to u
-        unlabeled = [(x, i) for x, i in nbr_parts if k2_edge[i][0] not in label]
-        labeled = [(x, i) for x, i in nbr_parts if k2_edge[i][0] in label]
-        if len(unlabeled) >= 2:
-            set_pair(unlabeled[0][1], unlabeled[0][0])
-            v2, i2 = unlabeled[1]
-            a, b = k2_edge[i2]
-            set_pair(i2, b if v2 == a else a)  # v2 takes the D' end
-            for x, i in unlabeled[2:]:
-                set_pair(i, min(k2_edge[i]))
-        elif len(unlabeled) == 1:
-            seen_labels = {label[x] for x, _ in labeled}
-            v1, i1 = unlabeled[0]
-            if "D'" in seen_labels:
-                set_pair(i1, v1)
-            else:
-                a, b = k2_edge[i1]
-                set_pair(i1, b if v1 == a else a)
-        else:
-            seen_labels = {label[x] for x, _ in labeled}
-            if len(seen_labels) == 1:
-                flip_component(u, labeled[0][0])
-
-    for i in sorted(k2_edge):
-        if k2_edge[i][0] not in label:
-            set_pair(i, min(k2_edge[i]))
-
-    d = sorted(v for v, l in label.items() if l == "D")
-    d_prime = sorted(v for v, l in label.items() if l == "D'")
-    matching = []
-    for i, (a, b) in sorted(k2_edge.items()):
-        d_end = a if label[a] == "D" else b
-        matching.append((d_end, b if d_end == a else a))
-    return SwapCertificate.build(d, d_prime, matching)
+    d = [v for v in range(t.n) if in_d[v]]
+    d_prime = [v for v in range(t.n) if in_d[v] is False]
+    return SwapCertificate.build(d, d_prime, [(v, mate[v]) for v in d])
 
 
 def _tree_result(t: Graph, partition: StarPartition) -> DdmResult:

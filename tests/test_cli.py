@@ -245,6 +245,17 @@ class TestMalformedInput:
         cpath.write_text(certificate)
         self.assert_usage_error(capsys, "verify", "p2", str(cpath))
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "{directory}"),
+        ("compute", "{non_utf8}"),
+        ("verify", "p3", "{directory}"),
+    ])
+    def test_unreadable_input(self, tmp_path, capsys, argv):
+        non_utf8 = tmp_path / "g.txt"
+        non_utf8.write_bytes(b"\xff\xfe 1 0\n")
+        self.assert_usage_error(capsys, *(a.format(directory=tmp_path, non_utf8=non_utf8)
+                                          for a in argv))
+
     @pytest.mark.parametrize("max_mn", ["-5", "0"])
     def test_non_positive_max_mn(self, capsys, max_mn):
         self.assert_usage_error(capsys, "report", "grid", "--max-mn", max_mn)

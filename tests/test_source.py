@@ -71,3 +71,18 @@ def test_graphs_are_built_only_by_their_constructor():
                     and isinstance(func.value, ast.Name) and func.value.id in ("Graph", "object")):
                 found.append(f"{path.name}:{node.lineno} {func.value.id}.{func.attr}")
     assert not found, found
+
+
+def test_bfs_tree_is_the_only_graph_walk():
+    """Graph walks go through `graph_core.bfs_tree`: no `while` loop in the
+    package calls `.neighbors(`, so no module grows a search of its own."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.While):
+                found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(loop)
+                             if isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Attribute)
+                             and node.func.attr == "neighbors")
+    assert not found, found

@@ -243,7 +243,7 @@ class TestStarPartitionShape:
 
 class TestSwapFromPartition:
     def test_certificates_verify_at_weight(self):
-        for n in range(2, 10):
+        for n in range(2, 13):
             for t in enumerate_trees(n):
                 if not is_weak_tree(t):
                     continue
@@ -251,6 +251,39 @@ class TestSwapFromPartition:
                 cert = _label_partition(t, partition)
                 assert verify_certificate(t, cert)
                 assert cert.size() == weight
+
+    def test_labelling_is_linear(self, monkeypatch):
+        # a uniform random labelled tree from a walk on the complete graph
+        # (Aldous-Broder); its weak reduction has thousands of K1 parts, each
+        # of which must see both labels
+        n = 24_000
+        rng = random.Random(12)
+        seen = [True] + [False] * (n - 1)
+        edges = []
+        u = 0
+        while len(edges) < n - 1:
+            v = rng.randrange(n)
+            if not seen[v]:
+                seen[v] = True
+                edges.append((u, v))
+            u = v
+        t = weak_reduction(Graph(n, edges)).reduced
+        assert t.n >= 20_000 and is_weak_tree(t)
+        weight, partition = s_weight(t)
+        assert any(not leaves for _, leaves in partition.parts)
+        calls = []
+        real = Graph.neighbors
+
+        def counted(self, v):
+            calls.append(1)
+            return real(self, v)
+
+        monkeypatch.setattr(Graph, "neighbors", counted)
+        cert = _label_partition(t, partition)
+        assert len(calls) <= 2 * t.n
+        monkeypatch.undo()
+        assert verify_certificate(t, cert)
+        assert cert.size() == weight
 
 
 class TestDdmTree:
