@@ -65,8 +65,12 @@ def load_graph(token: str) -> Graph:
         except ValueError as exc:
             # c0..c2 and grid sides of 0 match the pattern but name no graph
             raise ContractError(f"graph token {token!r}: {exc}") from exc
-    with open(token, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(token, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"graph file {token!r}: {exc}") from exc
+    return parse_graph(text)
 
 
 def _dumps(obj, pad: str = "") -> str:
@@ -127,8 +131,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_graph(args.graph)
-    with open(args.certificate, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.certificate, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"certificate file {args.certificate!r}: {exc}") from exc
     if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
     try:
@@ -371,8 +378,7 @@ def run(argv: list[str]) -> int:
                       file=sys.stderr)
                 return 2
         return handlers[args.command](args)
-    except (GraphParseError, ContractError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (GraphParseError, ContractError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

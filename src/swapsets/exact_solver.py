@@ -10,14 +10,14 @@ carries a certificate, an infinite one means every k up to n//2 was exhausted
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
     _mask_members,
-    domination_number,
+    _require_domination_size,
+    dominating_sets_lex,
     is_strong_graph,
     lex_least_matching,
     matching_between,
@@ -57,44 +57,6 @@ def finite_result(cert: SwapCertificate) -> DdmResult:
     return DdmResult(FINITE, cert.size(), cert)
 
 
-def dominating_sets_lex(g: Graph, k: int, allowed_mask: int | None = None) -> Iterator[int]:
-    """Yield bitmasks of all dominating sets of g of size exactly k drawn from
-    allowed_mask, in lexicographic order of the sorted vertex tuple.
-
-    Sets need not be minimal: redundant members are legal, which matters when
-    k exceeds the domination number.
-    """
-    if allowed_mask is None:
-        allowed_mask = g.full_mask
-    n = g.n
-    # suffix_cover[s] = union of closed neighborhoods of allowed vertices >= s
-    suffix_cover = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        suffix_cover[s] = suffix_cover[s + 1]
-        if allowed_mask >> s & 1:
-            suffix_cover[s] |= g.closed_mask(s)
-    max_cover = max((g.closed_mask(v).bit_count() for v in _mask_members(allowed_mask)),
-                    default=1)
-
-    def rec(start: int, chosen: int, undominated: int, slots: int) -> Iterator[int]:
-        if not undominated and slots == 0:
-            yield chosen
-            return
-        if slots == 0:
-            return
-        if undominated and slots * max_cover < undominated.bit_count():
-            return
-        for v in range(start, n):
-            if not (allowed_mask >> v & 1):
-                continue
-            if undominated & ~suffix_cover[v]:
-                break  # some vertex can no longer be covered by any later pick
-            yield from rec(v + 1, chosen | (1 << v), undominated & ~g.closed_mask(v),
-                           slots - 1)
-
-    yield from rec(0, 0, g.full_mask, k)
-
-
 def _neighborhood_mask(g: Graph, mask: int) -> int:
     out = 0
     for v in _mask_members(mask):
@@ -114,7 +76,9 @@ def _certificate_for(g: Graph, d_mask: int, dp_mask: int) -> SwapCertificate:
 def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
     """Lexicographically least swap pair at the least k in ks: finite with
     its certificate, infinite when no k in ks has one, or budget_exceeded
-    once node_budget candidate D' sets, counted across all k, are spent."""
+    once node_budget candidate D' sets, counted across all k, are spent.
+    Below the domination number no D exists, so ks may start low."""
+    _require_domination_size(g)
     spent = 0
     for k in ks:
         for d_mask in dominating_sets_lex(g, k):
@@ -134,18 +98,19 @@ def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
 def dd_m_exact(g: Graph, node_budget: int = 100_000_000) -> DdmResult:
     """Exact swap number with certificate.
 
-    Searches k from the domination number up to n//2, enumerating candidate
-    (D, D') pairs; node_budget bounds how many pairs are examined.  The
-    returned certificate is the lexicographically least one at the minimum k
-    (least D, then least D', then least matching).  A vertex with two or more
-    leaf neighbors makes every outcome infinite, so that case short-circuits;
-    swap_pair_below(g, g.n // 2 + 1) runs the same search without it.
+    Searches k from 1 up to n//2, enumerating candidate (D, D') pairs (below
+    the domination number there is no D); node_budget bounds how many pairs
+    are examined.  The returned certificate is the lexicographically least
+    one at the minimum k (least D, then least D', then least matching).  A
+    vertex with two or more leaf neighbors makes every outcome infinite, so
+    that case short-circuits; swap_pair_below(g, g.n // 2 + 1) runs the same
+    search without it.
     """
     if g.n == 0:
         raise ContractError("swap number needs a non-empty graph")
     if is_strong_graph(g):
         return DdmResult(INFINITE)
-    return _first_pair(g, range(domination_number(g), g.n // 2 + 1), node_budget)
+    return _first_pair(g, range(1, g.n // 2 + 1), node_budget)
 
 
 def swap_pair_below(g: Graph, bound: int, node_budget: int = 100_000_000) -> DdmResult:
@@ -157,5 +122,4 @@ def swap_pair_below(g: Graph, bound: int, node_budget: int = 100_000_000) -> Ddm
     """
     if g.n == 0:
         raise ContractError("swap pair search needs a non-empty graph")
-    return _first_pair(g, range(domination_number(g), min(bound, g.n // 2 + 1)),
-                       node_budget)
+    return _first_pair(g, range(1, min(bound, g.n // 2 + 1)), node_budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import eq, itemgetter, lt
 from typing import Iterable, Iterator
 
@@ -581,38 +581,65 @@ def independence_number(g: Graph) -> int:
     return best
 
 
+def dominating_sets_lex(g: Graph, k: int, allowed_mask: int | None = None) -> Iterator[int]:
+    """Yield bitmasks of all dominating sets of g of size exactly k drawn from
+    allowed_mask, in lexicographic order of the sorted vertex tuple.
+
+    Sets need not be minimal: redundant members are legal, which matters when
+    k exceeds the domination number.
+    """
+    if allowed_mask is None:
+        allowed_mask = g.full_mask
+    n = g.n
+    # suffix_cover[s] = union of closed neighborhoods of allowed vertices >= s,
+    # suffix_max[s] = size of the largest of them
+    suffix_cover = [0] * (n + 1)
+    suffix_max = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        suffix_cover[s] = suffix_cover[s + 1]
+        suffix_max[s] = suffix_max[s + 1]
+        if allowed_mask >> s & 1:
+            suffix_cover[s] |= g.closed_mask(s)
+            suffix_max[s] = max(suffix_max[s], g.closed_mask(s).bit_count())
+
+    def rec(start: int, chosen: int, undominated: int, slots: int) -> Iterator[int]:
+        if not undominated and slots == 0:
+            yield chosen
+            return
+        if slots == 0:
+            return
+        if slots * suffix_max[start] < undominated.bit_count():
+            return  # the remaining picks cannot cover what is left
+        for v in range(start, n):
+            if not (allowed_mask >> v & 1):
+                continue
+            if undominated & ~suffix_cover[v]:
+                break  # some vertex can no longer be covered by any later pick
+            yield from rec(v + 1, chosen | (1 << v), undominated & ~g.closed_mask(v),
+                           slots - 1)
+
+    yield from rec(0, 0, g.full_mask, k)
+
+
 def has_dominating_set(g: Graph, k: int) -> bool:
     """Is there a dominating set of size at most k?  Cheaper than computing
-    the domination number when only a threshold matters."""
-    if k < 0:
-        return False
-    max_cover = max((m.bit_count() for m in g._closed), default=1)
+    the domination number when only a threshold matters.  Supersets of a
+    dominating set dominate, so one of size min(k, n) is searched for."""
+    return k >= 0 and next(dominating_sets_lex(g, min(k, g.n)), None) is not None
 
-    def rec(undominated: int, slots: int) -> bool:
-        if not undominated:
-            return True
-        if slots * max_cover < undominated.bit_count():
-            return False
-        u = (undominated & -undominated).bit_length() - 1
-        for x in _mask_members(g.closed_mask(u)):
-            if rec(undominated & ~g.closed_mask(x), slots - 1):
-                return True
-        return False
 
-    return rec(g.full_mask, k)
+def _require_domination_size(g: Graph) -> None:
+    """Above MAX_DOMINATION_N vertices the searches for least dominating
+    sets (domination_number and the swap pair search) refuse to start."""
+    if g.n > MAX_DOMINATION_N:
+        raise BudgetError(f"domination_number capped at n={MAX_DOMINATION_N}, got n={g.n}")
 
 
 def domination_number(g: Graph) -> int:
     """Exact domination number by increasing-cardinality search."""
-    if g.n > MAX_DOMINATION_N:
-        raise BudgetError(f"domination_number capped at n={MAX_DOMINATION_N}, got n={g.n}")
-    if g.n == 0:
-        return 0
-    lb = -(-g.n // max(m.bit_count() for m in g._closed))
-    for k in range(lb, g.n + 1):
-        if has_dominating_set(g, k):
-            return k
-    raise AssertionError("unreachable: V(g) dominates g")
+    _require_domination_size(g)
+    lb = -(-g.n // max((m.bit_count() for m in g._closed), default=1))
+    return next(k for k in count(lb) if has_dominating_set(g, k))
 
 
 # ---------------------------------------------------------------------------

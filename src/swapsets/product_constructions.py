@@ -302,7 +302,7 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
         for b in factors[i:]:
             g, h = a.graph, b.graph
             if g.n * h.n > max_vertices:
-                continue
+                break  # the census is ordered by n, so every later h is larger
             g_id, gamma_g, ddm_g = a.graph_id, a.gamma, _as_number(a.ddm)
             h_id, gamma_h, ddm_h = b.graph_id, b.gamma, _as_number(b.ddm)
             product, cert = product_swap_general(g, h)

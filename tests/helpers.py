@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from swapsets import ContractError, Graph, GraphParseError, is_tree
-from swapsets.graph_core import MAX_GRAPH_N
+from swapsets.graph_core import MAX_GRAPH_N, _mask_members
 from swapsets.tree_algorithms import _INF, _rooted
 
 
@@ -131,6 +131,29 @@ def brute_gamma(g: Graph) -> int:
             if brute_dominating(g, cand):
                 return k
     raise AssertionError("unreachable for nonempty graphs")
+
+
+def has_dominating_set_oracle(g: Graph, k: int) -> bool:
+    """Is there a dominating set of size at most k?  The branch and bound
+    `graph_core.has_dominating_set` ran before it became a query on
+    `dominating_sets_lex`: branch on the closed neighborhood of the least
+    undominated vertex, pruned by the largest closed neighborhood."""
+    if k < 0:
+        return False
+    max_cover = max((m.bit_count() for m in g._closed), default=1)
+
+    def rec(undominated: int, slots: int) -> bool:
+        if not undominated:
+            return True
+        if slots * max_cover < undominated.bit_count():
+            return False
+        u = (undominated & -undominated).bit_length() - 1
+        for x in _mask_members(g.closed_mask(u)):
+            if rec(undominated & ~g.closed_mask(x), slots - 1):
+                return True
+        return False
+
+    return rec(g.full_mask, k)
 
 
 def _is_star_part(t: Graph, part: tuple[int, ...]) -> bool:

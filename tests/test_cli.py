@@ -256,6 +256,20 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, *(a.format(directory=tmp_path, non_utf8=non_utf8)
                                           for a in argv))
 
+    @pytest.mark.parametrize("argv,kind", [
+        (("compute", "{non_utf8}"), "graph"),
+        (("verify", "{non_utf8}", "{certificate}"), "graph"),
+        (("verify", "p3", "{non_utf8}"), "certificate"),
+    ])
+    def test_decode_error_names_the_file(self, tmp_path, capsys, argv, kind):
+        non_utf8 = tmp_path / "bad.txt"
+        non_utf8.write_bytes(b"\xff\xfe 1 0\n")
+        certificate = tmp_path / "c.json"
+        certificate.write_text('{"d": [0], "d_prime": [1], "matching": [[0, 1]]}')
+        err = self.assert_usage_error(capsys, *(a.format(non_utf8=non_utf8, certificate=certificate)
+                                                for a in argv))
+        assert err.startswith(f"error: {kind} file {str(non_utf8)!r}: ")
+
     @pytest.mark.parametrize("max_mn", ["-5", "0"])
     def test_non_positive_max_mn(self, capsys, max_mn):
         self.assert_usage_error(capsys, "report", "grid", "--max-mn", max_mn)
@@ -266,6 +280,7 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        return captured.err
 
 
 class TestTree:

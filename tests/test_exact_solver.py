@@ -1,9 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from helpers import brute_ddm
 from swapsets import (
     BUDGET_EXCEEDED,
+    BudgetError,
     ContractError,
     DdmResult,
     FINITE,
@@ -15,13 +19,17 @@ from swapsets import (
     cycle_graph,
     dd_m_exact,
     domination_number,
+    grid_graph,
+    is_dominating,
     path_graph,
     star_graph,
     subdivided_doubled_triangle,
     swap_pair_below,
     verify_certificate,
 )
+from swapsets import exact_solver, graph_core
 from swapsets.exact_solver import dominating_sets_lex
+from swapsets.graph_core import mask_of, members_of
 from swapsets.small_alpha import enumerate_connected_graphs
 from test_graph_core import random_graphs
 
@@ -39,6 +47,19 @@ class TestDominatingSetsLex:
         restricted = set(dominating_sets_lex(g, 2, 0b0110))
         assert restricted <= unrestricted
         assert restricted == {0b0110}
+
+    def test_matches_brute_force(self):
+        # every k, on the full vertex set and three random subsets of it
+        rng = random.Random(2017)
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                for allowed in (g.full_mask, *(rng.getrandbits(n) for _ in range(3))):
+                    for k in range(n + 2):
+                        expected = [mask_of(c, n)
+                                    for c in combinations(sorted(members_of(allowed)), k)
+                                    if is_dominating(g, c)]
+                        assert list(dominating_sets_lex(g, k, allowed)) == expected, \
+                            (g.edges, allowed, k)
 
 
 class TestKnownValues:
@@ -109,6 +130,33 @@ class TestBudget:
         nine = subdivided_doubled_triangle()
         assert dd_m_exact(nine, node_budget=0).status == BUDGET_EXCEEDED
         assert dd_m_exact(nine, node_budget=1).status == FINITE
+
+
+class TestOneSearch:
+    @pytest.fixture
+    def no_gamma(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("domination_number called")
+
+        monkeypatch.setattr(graph_core, "domination_number", forbidden)
+        monkeypatch.setattr(exact_solver, "domination_number", forbidden, raising=False)
+
+    def test_pair_search_finds_gamma_itself(self, no_gamma):
+        for g, k in ((path_graph(6), 3), (cycle_graph(5), 2),
+                     (subdivided_doubled_triangle(), 3)):
+            assert dd_m_exact(g).k == k
+            assert swap_pair_below(g, k + 1).k == k
+            assert swap_pair_below(g, k).status == INFINITE
+
+    def test_oversized_graph_is_refused_before_searching(self, no_gamma, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("dominating_sets_lex called")
+
+        monkeypatch.setattr(exact_solver, "dominating_sets_lex", forbidden)
+        g = grid_graph(8, 8)
+        for search in (dd_m_exact, lambda g: swap_pair_below(g, 2)):
+            with pytest.raises(BudgetError, match=r"^domination_number capped at n=30, got n=64$"):
+                search(g)
 
 
 class TestStrongShortcut:

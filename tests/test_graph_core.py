@@ -3,12 +3,20 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_alpha, brute_dominating, brute_gamma, graph_oracle, parse_graph_oracle
+from helpers import (
+    brute_alpha,
+    brute_dominating,
+    brute_gamma,
+    graph_oracle,
+    has_dominating_set_oracle,
+    parse_graph_oracle,
+)
 from swapsets import (
     Graph,
     GraphParseError,
     SwapCertificate,
     cartesian_product,
+    census,
     certificate_violations,
     complete_graph,
     cycle_graph,
@@ -433,6 +441,19 @@ class TestInvariantNumbers:
         assert has_dominating_set(g, 3)
         assert not has_dominating_set(g, -1)
         assert not has_dominating_set(g, 0)
+
+    def test_has_dominating_set_matches_oracle_on_census(self):
+        for rec in census(7):
+            g = rec.graph
+            for k in range(-1, g.n + 2):
+                assert has_dominating_set(g, k) == has_dominating_set_oracle(g, k), \
+                    (rec.graph_id, k)
+
+    @settings(derandomize=True, max_examples=40)
+    @given(random_graphs(max_n=10))
+    def test_has_dominating_set_matches_oracle(self, g):
+        for k in range(-1, g.n + 2):
+            assert has_dominating_set(g, k) == has_dominating_set_oracle(g, k), k
 
     @settings(derandomize=True, max_examples=30)
     @given(random_graphs(max_n=6))

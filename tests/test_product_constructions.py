@@ -24,6 +24,7 @@ from swapsets import (
     tree_product_swap,
     verify_certificate,
 )
+from swapsets import small_alpha
 from swapsets.product_constructions import bfs_spanning_tree, partition_stats
 from test_tree_algorithms import random_trees, spider
 
@@ -190,6 +191,32 @@ class TestProductQuestionScan:
 
     def test_deterministic(self):
         assert product_question_scan(10).to_tsv() == product_question_scan(10).to_tsv()
+
+    def test_pair_loop_stops_at_the_first_oversized_factor(self, monkeypatch):
+        reads = [0]
+
+        class CountedRecord:
+            def __init__(self, rec):
+                self._rec = rec
+
+            @property
+            def graph(self):
+                reads[0] += 1
+                return self._rec.graph
+
+            def __getattr__(self, name):
+                return getattr(self._rec, name)
+
+        census = small_alpha.census
+        monkeypatch.setattr(small_alpha, "census",
+                            lambda max_n: [CountedRecord(r) for r in census(max_n)])
+        report = product_question_scan(15)
+        factors = sum(1 for r in census(7) if r.n >= 2)
+        # each pair looked at reads both factors' graphs; the census is
+        # ordered by n, so besides the kept pairs each factor looks at one
+        # pair at most, the one that ends its loop
+        assert len(report.rows) == 1052
+        assert reads[0] <= 2 * (len(report.rows) + factors)
 
     def test_gamma_product_bound_spot_checks(self):
         # gamma(G x H) >= max(gamma(G), gamma(H)) via projection; an exact

@@ -86,3 +86,23 @@ def test_bfs_tree_is_the_only_graph_walk():
                              and isinstance(node.func, ast.Attribute)
                              and node.func.attr == "neighbors")
     assert not found, found
+
+
+def test_one_recursive_dominating_set_search():
+    """Dominating sets have one search, `graph_core.dominating_sets_lex`: no
+    nested function in the package calls itself except its `rec` and
+    `independence_number`'s `grow`."""
+    allowed = {("dominating_sets_lex", "rec"), ("independence_number", "grow")}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer and isinstance(inner, ast.FunctionDef)
+                        and (outer.name, inner.name) not in allowed
+                        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                                and node.func.id == inner.name for node in ast.walk(inner))):
+                    found.append(f"{path.name}:{inner.lineno} {outer.name}.{inner.name}")
+    assert not found, found
