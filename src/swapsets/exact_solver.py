@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
+    ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
     _mask_members,
     _require_domination_size,
+    certified,
     dominating_sets_lex,
     is_strong_graph,
     lex_least_matching,
@@ -69,8 +71,8 @@ def _certificate_for(g: Graph, d_mask: int, dp_mask: int) -> SwapCertificate:
     dp = members_of(dp_mask)
     matching = lex_least_matching(g, d, dp)
     if matching is None:
-        raise AssertionError("swap pair search returned an unmatched pair")
-    return SwapCertificate.build(d, dp, matching)
+        raise ConstructionError("swap pair search returned an unmatched pair")
+    return certified(g, SwapCertificate.build(d, dp, matching))
 
 
 def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:

@@ -32,6 +32,11 @@ class BudgetError(RuntimeError):
     """An exact solver was asked to run beyond its configured size cap."""
 
 
+class ConstructionError(RuntimeError):
+    """A construction failed its own check: a fault in the program, never
+    in its input."""
+
+
 # up to this many edges the edge-by-edge scan is faster than the column
 # checks (break-even near 16 edges for sorted lists under CPython 3.11)
 _SCAN_MAX_EDGES = 16
@@ -541,6 +546,17 @@ def verify_certificate(g: Graph, cert: SwapCertificate) -> bool:
     return not certificate_violations(g, cert)
 
 
+def certified(g: Graph, cert: SwapCertificate) -> SwapCertificate:
+    """cert, once it verifies against g; a ConstructionError naming its
+    violations otherwise.  Every function that builds a certificate returns
+    it through this one check."""
+    violations = certificate_violations(g, cert)
+    if violations:
+        raise ConstructionError(f"constructed certificate fails verification: "
+                                f"{', '.join(violations)}")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # independence and domination numbers
 
@@ -651,12 +667,14 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (a,b) ~ (a',b') iff a=a' and bb' is an edge of h, or b=b' and aa' is an
     edge of g.
     """
-    edges = []
-    for a in range(g.n):
-        base = a * h.n
-        for u, v in h.edges:
-            edges.append((base + u, base + v))
-    for u, v in g.edges:
-        for b in range(h.n):
-            edges.append((u * h.n + b, v * h.n + b))
-    return Graph(g.n * h.n, edges)
+    hn = h.n
+    # the higher neighbours of each vertex as id steps: those along h (same
+    # a) stay in a's block, below every one along g, so walking the vertices
+    # in id order emits the edges strictly ascending and Graph checks them
+    # column by column
+    h_up = [[w - b for w in nbrs if w > b] for b, nbrs in enumerate(h._adj)]
+    g_up = [[(w - a) * hn for w in nbrs if w > a] for a, nbrs in enumerate(g._adj)]
+    edges = [(v, v + step)
+             for a, g_steps in enumerate(g_up) for b, h_steps in enumerate(h_up)
+             for v in (a * hn + b,) for step in h_steps + g_steps]
+    return Graph(g.n * hn, edges)

@@ -17,15 +17,16 @@ number used for lower-bound cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .graph_core import (
+    ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
+    certified,
     grid_graph,
-    verify_certificate,
 )
 
 
@@ -132,16 +133,16 @@ def _base_board(m: int, n: int) -> tuple[set, set]:
     return black, white
 
 
-def _board_problems(m: int, n: int, black: set, white: set, window=None) -> set:
-    """Cells witnessing a failure: blocked or colliding token moves, or a
-    vertex left undominated by the tokens before or after the move.
+def _board_problems(m: int, n: int, black: set, white: set, window) -> set:
+    """Cells of the rectangle window = (lo_i, hi_i, lo_j, hi_j) witnessing a
+    failure: blocked or colliding token moves, or a vertex left undominated
+    by the tokens before or after the move.
 
-    window = (lo_i, hi_i, lo_j, hi_j) limits the answer to the cells of that
-    rectangle, which is exactly the whole-board answer there: moves are
-    horizontal, so only tokens within two columns and one row of the
-    rectangle can mark one of its cells.
+    The answer is exactly the whole board's answer restricted to the window:
+    moves are horizontal, so only tokens within two columns and one row of
+    the rectangle can mark one of its cells.
     """
-    lo_i, hi_i, lo_j, hi_j = window or (1, m, 1, n)
+    lo_i, hi_i, lo_j, hi_j = window
     problems = set()
     targets = {}
     before = set()  # closed neighbourhoods of the tokens
@@ -207,29 +208,22 @@ def _apply_ops(ops, black, white):
 
 
 def _repair_corners(m: int, n: int, black: set, white: set, size_cap: int):
-    problems = _board_problems(m, n, black, white)
-    if not problems:
-        return black, white
+    """The board with each corner whose cells within 4 show a problem on the
+    base board repaired by one or two token edits within 2 of it.  The
+    repaired board is checked only as the certificate it becomes."""
     corners = ((m, 1), (1, n), (m, n), (1, 1))
-
-    def near(cell, corner, radius):
-        return max(abs(cell[0] - corner[0]), abs(cell[1] - corner[1])) <= radius
-
-    for p in problems:
-        if not any(near(p, c, 4) for c in corners):
-            raise AssertionError(f"non-local construction failure at {p}")
-    for corner in corners:
-        mine = {p for p in problems if near(p, corner, 4)}
-        if not mine:
-            continue
-        ci, cj = corner
+    # the cells within 4 of each corner, clipped to the board
+    windows = [(max(1, ci - 4), min(m, ci + 4), max(1, cj - 4), min(n, cj + 4))
+               for ci, cj in corners]
+    broken = [(corner, window) for corner, window in zip(corners, windows)
+              if _board_problems(m, n, black, white, window)]
+    for (ci, cj), window in broken:
         box = sorted((i, j)
                      for i in range(max(1, ci - 2), min(m, ci + 2) + 1)
                      for j in range(max(1, cj - 2), min(n, cj + 2) + 1))
         # every edit lies within 2 of the corner and changes the problem
         # status only of cells within 2 of itself, so the cells within 4 of
         # the corner are the only ones to re-check
-        window = (max(1, ci - 4), min(m, ci + 4), max(1, cj - 4), min(n, cj + 4))
         singles = _corner_ops(box, black, white)
         candidates = [[op] for op in singles]
         candidates += [[a, b] for a, b in combinations(singles, 2) if a[1] != b[1]]
@@ -239,13 +233,10 @@ def _repair_corners(m: int, n: int, black: set, white: set, size_cap: int):
                 continue
             if _board_problems(m, n, nb, nw, window):
                 continue
-            black, white, problems = nb, nw, problems - mine
+            black, white = nb, nw
             break
         else:
-            raise AssertionError(f"no local repair found at corner {corner}")
-    remaining = _board_problems(m, n, black, white)
-    if remaining:
-        raise AssertionError(f"unrepaired cells remain: {sorted(remaining)}")
+            raise ConstructionError(f"no local repair found at corner {(ci, cj)}")
     return black, white
 
 
@@ -274,12 +265,10 @@ def grid_swap_construct(m: int, n: int) -> tuple[Graph, SwapCertificate, TokenBo
         matching.append((spec.vertex(i, j), spec.vertex(i - 1, j)))
     d = [a for a, _ in matching]
     dp = [b for _, b in matching]
-    cert = SwapCertificate.build(d, dp, matching)
     g = grid_graph(m, n)
-    if not verify_certificate(g, cert):
-        raise AssertionError("repaired grid certificate failed verification")
+    cert = certified(g, SwapCertificate.build(d, dp, matching))
     if cert.size() > size_cap:
-        raise AssertionError(f"certificate size {cert.size()} exceeds {size_cap}")
+        raise ConstructionError(f"certificate size {cert.size()} exceeds {size_cap}")
     return g, cert, board
 
 
@@ -317,14 +306,12 @@ def p3_strip_swap(k: int) -> tuple[Graph, SwapCertificate]:
     n = 4 * k + 1
     d, dp, matching = _strip_cells(k)
     flat = lambda cell: (cell[0] - 1) * 3 + cell[1]
-    cert = SwapCertificate.build(
-        [flat(c) for c in d], [flat(c) for c in dp],
-        [(flat(a), flat(b)) for a, b in matching])
     g = grid_graph(n, 3)
-    if not verify_certificate(g, cert):
-        raise AssertionError("strip certificate failed verification")
+    cert = certified(g, SwapCertificate.build(
+        [flat(c) for c in d], [flat(c) for c in dp],
+        [(flat(a), flat(b)) for a, b in matching]))
     if cert.size() != 3 * k + 2:
-        raise AssertionError("strip certificate has the wrong size")
+        raise ConstructionError("strip certificate has the wrong size")
     return g, cert
 
 
@@ -337,24 +324,12 @@ def gamma_grid_dp(rows: int, cols: int) -> int:
     within a column, row by row from the top.  Its frontier holds, per row,
     the last cell visited in that row: in the set, dominated, or still
     waiting on a later neighbour (the cell below it in its column or the
-    next cell in its row).
-
-    One sweep per row count is kept and resumed, so asking for more columns
-    runs only the column steps not yet taken."""
+    next cell in its row)."""
     if not 1 <= rows <= 8:
         raise ContractError("frontier DP supports 1..8 rows")
     if cols < 1:
         raise ContractError("cols must be positive")
-    if rows not in _SWEEPS:
-        _SWEEPS[rows] = (_gamma_sweep(rows), [])
-    sweep, known = _SWEEPS[rows]
-    while len(known) < cols:
-        known.append(next(sweep))
-    return known[cols - 1]
-
-
-# rows -> (the running sweep, domination numbers of rows x 1, rows x 2, ...)
-_SWEEPS: dict[int, tuple[Iterator[int], list[int]]] = {}
+    return next(islice(_gamma_sweep(rows), cols - 1, None))
 
 
 def _gamma_sweep(rows: int) -> Iterator[int]:
@@ -420,10 +395,12 @@ def grid_density_report(max_mn: int) -> GridDensityReport:
     8 <= n <= m <= max_mn, with the exact domination number where the
     frontier DP can reach (n <= 8)."""
     report = GridDensityReport(max_mn)
+    # gamma of the 8 x 8, 8 x 9, ... grids, one sweep for all n = 8 rows
+    gammas = islice(_gamma_sweep(8), 7, None)
     for n in range(8, max_mn + 1):
         for m in range(n, max_mn + 1):
             _, cert, _ = grid_swap_construct(m, n)
-            gamma = gamma_grid_dp(n, m) if n <= 8 else None
+            gamma = next(gammas) if n == 8 else None
             report.rows.append(GridDensityRow(
                 m, n, cert.size(), m * n / 5,
                 (n + 2) * (m + 3) // 5, gamma))

@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 
 from .exact_solver import dd_m_exact, swap_pair_below, INFINITE, FINITE
 from .graph_core import (
+    ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
     bfs_tree,
     cartesian_product,
+    certified,
     domination_number,
     has_dominating_set,
     is_connected,
     is_tree,
     star_graph,
-    verify_certificate,
 )
 from .tree_algorithms import StarPartition, _require_nontrivial_tree, _rooted
 
@@ -86,9 +87,7 @@ def star_product_swap(p: int, q: int) -> tuple[Graph, SwapCertificate]:
         [to_vertex(c) for c in layout.d_prime_coords],
         [(to_vertex(a), to_vertex(b)) for a, b in layout.matching_coords],
     )
-    if not verify_certificate(product, cert):
-        raise AssertionError("star product certificate failed verification")
-    return product, cert
+    return product, certified(product, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +148,10 @@ def star_partition_order2(t: Graph) -> StarPartition:
                 parts[idx] = (leaves[0], [c, r])
                 break
         else:
-            raise AssertionError("lone root could not join any star part")
+            raise ConstructionError("lone root could not join any star part")
     partition = StarPartition.build(parts)
     if not all(ls for _, ls in partition.parts):
-        raise AssertionError("star partition left a singleton part")
+        raise ConstructionError("star partition left a singleton part")
     return partition
 
 
@@ -176,9 +175,7 @@ def tree_product_swap(t: Graph, t_prime: Graph) -> tuple[Graph, SwapCertificate,
     """
     cert, paper_bound = _tile_tree_product(t, t_prime)
     product = cartesian_product(t, t_prime)
-    if not verify_certificate(product, cert):
-        raise AssertionError("tree product certificate failed verification")
-    return product, cert, paper_bound
+    return product, certified(product, cert), paper_bound
 
 
 def _tile_tree_product(t: Graph, t_prime: Graph) -> tuple[SwapCertificate, int]:
@@ -232,9 +229,7 @@ def product_swap_general(g: Graph, h: Graph) -> tuple[Graph, SwapCertificate]:
     th = h if is_tree(h) else bfs_spanning_tree(h)
     cert, _ = _tile_tree_product(tg, th)
     product = cartesian_product(g, h)
-    if not verify_certificate(product, cert):
-        raise AssertionError("spanning-tree certificate failed on the host product")
-    return product, cert
+    return product, certified(product, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +311,7 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
             if product.n <= EXACT_PRODUCT_N:
                 res = dd_m_exact(product)
                 if res.status != FINITE:  # the construction guarantees a pair
-                    raise AssertionError("exact solver missed the constructed pair")
+                    raise ConstructionError("exact solver missed the constructed pair")
                 ddm_cell = str(res.k)
                 if res.k < gg:
                     violation = "gg"

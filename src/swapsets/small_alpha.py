@@ -21,9 +21,11 @@ from itertools import combinations, permutations, product
 from .exact_solver import FINITE, dd_m_exact
 from .graph_core import (
     BudgetError,
+    ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
+    certified,
     domination_number,
     format_graph,
     independence_number,
@@ -34,7 +36,6 @@ from .graph_core import (
     matching_between,
     members_of,
     subdivided_doubled_triangle,
-    verify_certificate,
 )
 
 
@@ -255,20 +256,21 @@ def _lex_max_independent_set(g: Graph, alpha: int) -> tuple[int, ...]:
     for cand in combinations(range(g.n), alpha):
         if is_independent(g, cand):
             return cand
-    raise AssertionError("independence number was wrong")
+    raise ConstructionError("independence number was wrong")
 
 
 # ---------------------------------------------------------------------------
 # independence number 2
 
-def alpha2_swap(g: Graph) -> SwapCertificate:
+def alpha2_swap(g: Graph) -> SwapCertificate | None:
     """Size-2 swap certificate for a connected graph with independence
-    number 2 on more than three vertices.
+    number 2 on more than three vertices, or None if no partner is found.
 
-    D is the lexicographically least maximum independent set {u,v}; its
-    partner is either an independent pair in N({u,v}) (which must then
-    dominate) or, when N({u,v}) is a clique, a dominating pair from it with
-    a matching back to {u,v}.
+    D is the lexicographically least maximum independent set {u,v}, which
+    dominates as every maximal independent set does; its partner is either
+    an independent pair in N({u,v}) (which must then dominate) or, when
+    N({u,v}) is a clique, a dominating pair from it with a matching back to
+    {u,v}.
     """
     if not is_connected(g):
         raise ContractError("alpha2_swap needs a connected graph")
@@ -285,19 +287,15 @@ def alpha2_swap(g: Graph) -> SwapCertificate:
         matching = matching_between(g, (u, v), (y, z))
         if matching is None or not is_dominating(g, (y, z)):
             continue
-        cert = SwapCertificate.build((u, v), (y, z), matching)
-        if verify_certificate(g, cert):
-            return cert
+        return certified(g, SwapCertificate.build((u, v), (y, z), matching))
     for w, x in combinations(hood, 2):
         if not is_dominating(g, (w, x)):
             continue
         matching = matching_between(g, (u, v), (w, x))
         if matching is None:
             continue
-        cert = SwapCertificate.build((u, v), (w, x), matching)
-        if verify_certificate(g, cert):
-            return cert
-    raise AssertionError("no size-2 partner found despite alpha = 2")
+        return certified(g, SwapCertificate.build((u, v), (w, x), matching))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +336,13 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
     i_mask = mask_of(i_set, g.n)
     triples = list(_saturating_triples(g, i_set))
 
+    # i_set is a maximum independent set, so it dominates, and each triple
+    # is disjoint from it and matched to it: a dominating triple completes a
+    # certificate
     for j in triples:
         if is_dominating(g, j):
-            cert = SwapCertificate.build(i_set, j, tuple(zip(i_set, j)))
-            if verify_certificate(g, cert):
-                return cert, "matched-dominating"
+            cert = SwapCertificate.build(i_set, j, zip(i_set, j))
+            return certified(g, cert), "matched-dominating"
 
     for j in triples:
         dominated = 0
@@ -373,9 +373,9 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
                 matching.append((x, y))
             if len(set(d)) != len(d) or len(set(dp)) != len(dp) or set(d) & set(dp):
                 continue
-            cert = SwapCertificate.build(d, dp, matching)
-            if verify_certificate(g, cert):
-                return cert, "q-augmented"
+            if is_dominating(g, dp):  # d holds i_set, so it dominates
+                cert = SwapCertificate.build(d, dp, matching)
+                return certified(g, cert), "q-augmented"
 
     for j in triples:
         dominated = 0
@@ -392,11 +392,9 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
                     if not is_dominating(g, dp):
                         continue
                     matching = matching_between(g, d, dp)
-                    if matching is None:
-                        continue
-                    cert = SwapCertificate.build(d, dp, matching)
-                    if verify_certificate(g, cert):
-                        return cert, "pool-search"
+                    if matching is not None:
+                        cert = SwapCertificate.build(d, dp, matching)
+                        return certified(g, cert), "pool-search"
 
     result = dd_m_exact(g)
     if result.status != FINITE:

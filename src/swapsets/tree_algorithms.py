@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from .exact_solver import DdmResult, INFINITE, finite_result
 from .graph_core import (
+    ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
     bfs_tree,
+    certified,
     is_strong_graph,
     is_tree,
-    verify_certificate,
 )
 
 _INF = 10 ** 9
@@ -281,7 +282,7 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
 
     root = order[0]
     if min(cost_c[root], cost_k0[root]) >= _INF:
-        raise AssertionError("no simple star partitioning found on a weak tree")
+        raise ConstructionError("no simple star partitioning found on a weak tree")
     root_c = cost_c[root] <= cost_k0[root]
 
     # parents precede children in the walk, so each vertex's state is known
@@ -328,7 +329,7 @@ def _min_partition(red: WeakReduction) -> tuple[int, StarPartition]:
             raw.append((members[0], members[1:]))
     partition = StarPartition.build(raw)
     if partition.weight != w_red + len(red.removed):
-        raise AssertionError("re-expanded partition weight differs from S(T)")
+        raise ConstructionError("re-expanded partition weight differs from S(T)")
     return w_red, partition
 
 
@@ -389,10 +390,10 @@ def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
 
 
 def _tree_result(t: Graph, partition: StarPartition) -> DdmResult:
-    """The verified certificate of a weak tree from its minimum partition."""
-    cert = _label_partition(t, partition)
-    if not verify_certificate(t, cert) or cert.size() != partition.weight:
-        raise AssertionError("tree certificate construction failed")
+    """The certified certificate of a weak tree from its minimum partition."""
+    cert = certified(t, _label_partition(t, partition))
+    if cert.size() != partition.weight:
+        raise ConstructionError("tree certificate size differs from S(T)")
     return finite_result(cert)
 
 

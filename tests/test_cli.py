@@ -384,6 +384,38 @@ class TestConstruct:
         assert verify_certificate(host, SwapCertificate.from_json_dict(obj["certificate"]))
 
 
+class TestCertificateChecks:
+    @pytest.mark.parametrize("argv", [
+        ("construct", "grid", "20", "20"),
+        ("construct", "product", "p3", "c4"),
+        ("compute", "p6"),
+    ])
+    def test_each_certificate_is_checked_once(self, capsys, monkeypatch, argv):
+        import swapsets.graph_core as graph_core
+
+        calls = []
+        real = graph_core.certificate_violations
+        monkeypatch.setattr(graph_core, "certificate_violations",
+                            lambda g, cert: calls.append(1) or real(g, cert))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+    def test_failed_check_exits_4_without_a_traceback(self):
+        script = (
+            "import swapsets.exact_solver as exact_solver\n"
+            "from swapsets.cli import main\n"
+            "real = exact_solver.lex_least_matching\n"
+            "exact_solver.lex_least_matching = (\n"
+            "    lambda g, a, b: tuple((v, u) for u, v in real(g, a, b)))\n"
+            "main()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, "compute", "p4"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 class TestGammaDp:
     def test_value(self, capsys):
         code, obj = run_json(capsys, "gamma-dp", "3", "13")
@@ -405,29 +437,21 @@ class TestScan:
         assert obj["bound_counterexamples"] == []
 
     def test_alpha3_unverified_certificate_is_an_error(self, capsys, monkeypatch):
+        # with no saturating triples every graph falls back to the exact
+        # solver, whose certificate check then meets a broken matching
+        import swapsets.exact_solver as exact_solver
         import swapsets.small_alpha as small_alpha
 
-        real = small_alpha.alpha3_swap_with_stage
-        tampered = []
-
-        def first_certificate_broken(g):
-            found = real(g)
-            if found is None or tampered:
-                return found
-            cert, stage = found
-            tampered.append(small_alpha.canonical_id(g))
-            return SwapCertificate.build(cert.d, cert.d, cert.matching), stage
-
-        monkeypatch.setattr(small_alpha, "alpha3_swap_with_stage",
-                            first_certificate_broken)
+        real = exact_solver.lex_least_matching
+        monkeypatch.setattr(small_alpha, "_saturating_triples", lambda g, i_set: iter(()))
+        monkeypatch.setattr(exact_solver, "lex_least_matching",
+                            lambda g, a, b: tuple((v, u) for u, v in real(g, a, b)))
         code = run(["scan", "alpha3", "--max-n", "6"])
         captured = capsys.readouterr()
-        (graph_id,) = tampered
-        assert code == 1
-        assert captured.err.startswith("error: ")
-        assert graph_id in captured.err and "failed verification" in captured.err
-        listed = json.loads(captured.out)["existence_counterexamples"]
-        assert graph_id not in {row["graph_id"] for row in listed}
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: constructed certificate fails verification: ")
+        assert "matched-vertex-not-in-d:" in captured.err
 
     def test_conjectures_clean(self, capsys):
         code, obj = run_json(capsys, "scan", "conjectures", "--max-n", "4")

@@ -8,6 +8,7 @@ from helpers import brute_ddm
 from swapsets import (
     BUDGET_EXCEEDED,
     BudgetError,
+    ConstructionError,
     ContractError,
     DdmResult,
     FINITE,
@@ -157,6 +158,18 @@ class TestOneSearch:
         for search in (dd_m_exact, lambda g: swap_pair_below(g, 2)):
             with pytest.raises(BudgetError, match=r"^domination_number capped at n=30, got n=64$"):
                 search(g)
+
+
+class TestCertificateCheck:
+    def test_wrong_matching_is_a_construction_error(self, monkeypatch):
+        real = exact_solver.lex_least_matching
+
+        def reversed_pairs(g, a, b):
+            return tuple((v, u) for u, v in real(g, a, b))
+
+        monkeypatch.setattr(exact_solver, "lex_least_matching", reversed_pairs)
+        with pytest.raises(ConstructionError, match="matched-vertex-not-in-d:"):
+            dd_m_exact(path_graph(4))
 
 
 class TestStrongShortcut:

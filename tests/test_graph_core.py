@@ -37,9 +37,12 @@ from swapsets import (
     subdivided_doubled_triangle,
     verify_certificate,
 )
+from swapsets import graph_core
 from swapsets.graph_core import (
     MAX_GRAPH_N,
+    ConstructionError,
     bfs_tree,
+    certified,
     lex_least_matching,
     mask_of,
     members_of,
@@ -411,6 +414,13 @@ class TestSwapCertificate:
         probs = certificate_violations(g, stranger)
         assert any(v.startswith("matched-vertex-not-in-d:") for v in probs)
 
+    def test_certified_returns_a_verifying_certificate_or_names_its_violations(self):
+        g, cert = path_graph(4), self.good()
+        assert certified(g, cert) is cert
+        nonedge = SwapCertificate.build([0, 2], [1, 3], [(0, 3), (2, 1)])
+        with pytest.raises(ConstructionError, match=r"fails verification: pair-not-an-edge:0-3$"):
+            certified(g, nonedge)
+
 
 class TestInvariantNumbers:
     @pytest.mark.parametrize("g,alpha", [
@@ -500,3 +510,27 @@ class TestCartesianProduct:
     def test_grid_is_path_product(self):
         prod = cartesian_product(path_graph(4), path_graph(3))
         assert prod == grid_graph(4, 3)
+
+    def test_edges_reach_the_constructor_strictly_ascending(self, monkeypatch):
+        # so Graph checks them column by column, not edge by edge
+        pairs = [(path_graph(3), cycle_graph(5)), (complete_graph(4), star_graph(3)),
+                 (cycle_graph(6), path_graph(1)), (Graph(3, []), path_graph(4)),
+                 (star_graph(4), complete_graph(5))]
+        handed = []
+        real = graph_core.Graph
+
+        def recording(n, edges):
+            edges = list(edges)
+            handed.append(edges)
+            return real(n, edges)
+
+        monkeypatch.setattr(graph_core, "Graph", recording)
+        products = [cartesian_product(g, h) for g, h in pairs]
+        monkeypatch.undo()
+        assert len(handed) == len(pairs)
+        for (g, h), edges, prod in zip(pairs, handed, products):
+            assert all(a < b for a, b in zip(edges, edges[1:])), (g, h)
+            expected = [(x, y) for x in range(prod.n) for y in range(x + 1, prod.n)
+                        if (x // h.n == y // h.n and h.has_edge(x % h.n, y % h.n))
+                        or (x % h.n == y % h.n and g.has_edge(x // h.n, y // h.n))]
+            assert list(prod.edges) == expected

@@ -113,7 +113,7 @@ class TestGridConstruction:
                 elif x < density:
                     white.add(cell)
             full = full_board_problems(m, n, black, white)
-            assert _board_problems(m, n, black, white) == full
+            assert _board_problems(m, n, black, white, (1, m, 1, n)) == full
             for _ in range(3):
                 lo_i = rng.randint(1, m)
                 hi_i = rng.randint(lo_i, m)
@@ -122,6 +122,20 @@ class TestGridConstruction:
                 window = (lo_i, hi_i, lo_j, hi_j)
                 expected = {(i, j) for i, j in full if lo_i <= i <= hi_i and lo_j <= j <= hi_j}
                 assert _board_problems(m, n, black, white, window) == expected, window
+
+    def test_repair_checks_only_corner_windows(self, monkeypatch):
+        # the whole board is checked once, as the certificate it becomes
+        sides = []
+        real = grid_constructions._board_problems
+
+        def recording(m, n, black, white, window=None):
+            lo_i, hi_i, lo_j, hi_j = window or (1, m, 1, n)
+            sides.append((hi_i - lo_i + 1, hi_j - lo_j + 1))
+            return real(m, n, black, white, window)
+
+        monkeypatch.setattr(grid_constructions, "_board_problems", recording)
+        grid_swap_construct(60, 60)
+        assert sides and all(a <= 9 and b <= 9 for a, b in sides), sides
 
     def test_board_matches_certificate(self):
         g, cert, board = grid_swap_construct(10, 9)
@@ -165,8 +179,8 @@ class TestGammaGridDp:
         assert gamma_grid_dp(rows, cols) == gamma
 
     def test_matches_branch_and_bound(self):
-        for rows in range(1, 5):
-            for cols in range(rows, 6):
+        for rows in range(1, 9):
+            for cols in range(1, 30 // rows + 1):
                 assert gamma_grid_dp(rows, cols) == domination_number(grid_graph(cols, rows))
 
     def test_strip_formula(self):
@@ -177,23 +191,11 @@ class TestGammaGridDp:
         with pytest.raises(ContractError):
             gamma_grid_dp(9, 4)
 
-    def test_matches_column_sweep_oracle(self, monkeypatch):
-        monkeypatch.setattr(grid_constructions, "_SWEEPS", {})
+    def test_matches_column_sweep_oracle(self):
         for rows in range(1, 9):
             expected = list(islice(gamma_sweep_oracle(rows), 20))
-            assert [gamma_grid_dp(rows, c) for c in range(1, 21)] == expected, rows
-
-    def test_answers_independent_of_call_order(self, monkeypatch):
-        cols = list(range(1, 11))
-        interleaved = cols[::2] + cols[1::2][::-1]
-        answers = []
-        for order in (cols, cols[::-1], interleaved):
-            monkeypatch.setattr(grid_constructions, "_SWEEPS", {})
-            answers.append({(r, c): gamma_grid_dp(r, c) for c in order for r in range(1, 9)})
-        assert answers[0] == answers[1] == answers[2]
-        for (r, c), gamma in answers[0].items():
-            if r * c <= 30:
-                assert gamma == domination_number(grid_graph(c, r)), (r, c)
+            assert list(islice(grid_constructions._gamma_sweep(rows), 20)) == expected, rows
+            assert gamma_grid_dp(rows, 20) == expected[-1]
 
 
 class TestDensityReport:

@@ -106,3 +106,35 @@ def test_one_recursive_dominating_set_search():
                                 and node.func.id == inner.name for node in ast.walk(inner))):
                     found.append(f"{path.name}:{inner.lineno} {outer.name}.{inner.name}")
     assert not found, found
+
+
+def test_no_assertion_errors_raised():
+    """Internal failures raise `ConstructionError`, which the CLI reports
+    with exit code 4; an `AssertionError` would end in a traceback."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_cli_checks_only_certificate_files():
+    """Each builder checks the certificate it returns, so the CLI calls the
+    certificate checks only in `_cmd_verify`, on certificate files."""
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_verify":
+            allowed = {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("verify_certificate", "certificate_violations"):
+                found.append(f"cli.py:{node.lineno} {name}")
+    assert allowed and not found, found
