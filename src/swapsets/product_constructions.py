@@ -1,11 +1,10 @@
 """Constructive swap certificates on Cartesian products.
 
-Three routes, from specific to general: an exact-size construction for
-products of two stars; a block tiling that covers a product of trees with
-star-times-star blocks, each carrying its own small certificate; and the
-spanning-tree route that makes the tiling work for arbitrary connected
-factors, because a certificate valid on a spanning subgraph stays valid in
-the host graph.
+An exact-size layout for products of two stars; a block tiling that covers
+a product of trees with star-times-star blocks, each carrying that layout
+(a product of two stars is a single block); and the spanning-tree route
+that makes the tiling work for arbitrary connected factors, because a
+certificate valid on a spanning subgraph stays valid in the host graph.
 """
 
 from __future__ import annotations
@@ -72,22 +71,11 @@ def star_product_layout(p: int, q: int) -> StarProductLayout:
 
 
 def star_product_swap(p: int, q: int) -> tuple[Graph, SwapCertificate]:
-    """Product of two stars with a verified certificate of size max(2, p+q-1)."""
+    """Product of two stars with a verified certificate of size max(2, p+q-1):
+    the tiling of a product of trees, here a single block."""
     if p < 1 or q < 1:
         raise ContractError("star products need p, q >= 1")
-    product = cartesian_product(star_graph(p), star_graph(q))
-    if p >= q:
-        layout = star_product_layout(p, q)
-        to_vertex = lambda c: c[0] * (q + 1) + c[1]
-    else:
-        layout = star_product_layout(q, p)
-        to_vertex = lambda c: c[1] * (q + 1) + c[0]
-    cert = SwapCertificate.build(
-        [to_vertex(c) for c in layout.d_coords],
-        [to_vertex(c) for c in layout.d_prime_coords],
-        [(to_vertex(a), to_vertex(b)) for a, b in layout.matching_coords],
-    )
-    return product, certified(product, cert)
+    return product_swap_general(star_graph(p), star_graph(q))
 
 
 # ---------------------------------------------------------------------------

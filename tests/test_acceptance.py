@@ -219,7 +219,8 @@ def test_criterion_7_small_alpha_exhaustive():
     # a strong stem (a vertex with two pendant leaves) rules out every swap
     # pair: with the stem in D or D', both leaves lie in the other set and
     # need the stem as their partner; with the stem in neither, both leaves
-    # lie in D and in D'.  Every other graph here has a pair of size <= 3.
+    # lie in D and in D'.  Every other graph here has a pair of size <= 3,
+    # and the matched-partner stage finds one without the exact solver.
     existence_failures = []
     strong_graphs = []
     checked3 = 0
@@ -235,8 +236,10 @@ def test_criterion_7_small_alpha_exhaustive():
                     existence_failures.append(
                         ("strong graph has a swap set", canonical_id(g)))
                 continue
-            cert, _ = alpha3_swap_with_stage(g)
-            if not verify_certificate(g, cert):
+            cert, stage = alpha3_swap_with_stage(g)
+            if stage != "matched-dominating":
+                existence_failures.append((f"stage {stage}", canonical_id(g)))
+            elif not verify_certificate(g, cert):
                 existence_failures.append(
                     ("certificate fails verification", canonical_id(g)))
             elif cert.size() > 3:

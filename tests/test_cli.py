@@ -437,13 +437,13 @@ class TestScan:
         assert obj["bound_counterexamples"] == []
 
     def test_alpha3_unverified_certificate_is_an_error(self, capsys, monkeypatch):
-        # with no saturating triples every graph falls back to the exact
+        # with no matched partner every graph falls back to the exact
         # solver, whose certificate check then meets a broken matching
         import swapsets.exact_solver as exact_solver
         import swapsets.small_alpha as small_alpha
 
         real = exact_solver.lex_least_matching
-        monkeypatch.setattr(small_alpha, "_saturating_triples", lambda g, i_set: iter(()))
+        monkeypatch.setattr(small_alpha, "_matched_partner", lambda g, i_set: None)
         monkeypatch.setattr(exact_solver, "lex_least_matching",
                             lambda g, a, b: tuple((v, u) for u, v in real(g, a, b)))
         code = run(["scan", "alpha3", "--max-n", "6"])

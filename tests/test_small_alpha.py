@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -245,7 +246,7 @@ class TestAlpha3Swap:
         g = cycle_graph(6)
         cert, stage = alpha3_swap_with_stage(g)
         assert verify_certificate(g, cert)
-        assert stage in ("matched-dominating", "q-augmented", "pool-search", "fallback")
+        assert stage in ("matched-dominating", "fallback")
 
     def test_strong_stem_example_has_no_swap_set(self):
         g = STRONG_STEM_EXAMPLE
@@ -267,6 +268,35 @@ class TestAlpha3Swap:
                 else:
                     assert is_strong_graph(g)
                     assert alpha3_swap_with_stage(g) is None
+
+    def test_random_larger_graphs_take_the_matched_stage(self):
+        # seeded graphs of 9..14 vertices, beyond the census: dense random
+        # graphs, and three cliques (a one-vertex clique is often a pendant
+        # leaf) joined by sparse cross edges
+        rng = random.Random(15)
+        graphs = []
+        while len(graphs) < 200:
+            n = rng.randint(9, 14)
+            if rng.random() < 0.5:
+                p = rng.uniform(0.5, 0.8)
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+            else:
+                cliques = [[] for _ in range(3)]
+                for v in range(n):
+                    cliques[rng.randrange(3)].append(v)
+                edges = {(u, v) for c in cliques for i, u in enumerate(c) for v in c[i + 1:]}
+                edges.update((u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.15)
+            g = Graph(n, sorted(edges))
+            if is_connected(g) and independence_number(g) == 3 and not is_strong_graph(g):
+                graphs.append(g)
+        assert min(g.n for g in graphs) == 9 and max(g.n for g in graphs) == 14
+        for g in graphs:
+            cert, stage = alpha3_swap_with_stage(g)
+            assert stage == "matched-dominating"
+            assert cert.size() == 3
+            if g.n <= 12:
+                assert dd_m_exact(g).status == FINITE
 
     @pytest.mark.parametrize("m, leaves", [
         *((m, 2) for m in range(2, 7)),   # alpha = 3

@@ -138,3 +138,14 @@ def test_cli_checks_only_certificate_files():
             if name in ("verify_certificate", "certificate_violations"):
                 found.append(f"cli.py:{node.lineno} {name}")
     assert allowed and not found, found
+
+
+def test_one_small_alpha_construction():
+    """Independence numbers 2 and 3 share one partner search: small_alpha.py
+    calls `SwapCertificate.build` in exactly one place."""
+    tree = ast.parse((PACKAGE_DIR / "small_alpha.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "build"
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "SwapCertificate"]
+    assert len(found) == 1, found
