@@ -155,16 +155,6 @@ def _mask_members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int], n: int) -> int:
-    """Bitmask for a vertex collection, range-checked against n."""
-    m = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for n={n}")
-        m |= 1 << v
-    return m
-
-
 def members_of(mask: int) -> frozenset[int]:
     return frozenset(_mask_members(mask))
 

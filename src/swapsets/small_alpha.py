@@ -36,7 +36,6 @@ from .graph_core import (
     is_connected,
     is_dominating,
     is_independent,
-    members_of,
     subdivided_doubled_triangle,
 )
 
@@ -44,7 +43,14 @@ from .graph_core import (
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration
 
-def _refine(adj: list, colors: list[int], count: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _order_table(n: int) -> tuple[list[int], int]:
+    """The refinement constants of an n-vertex graph: the weights
+    n**(n-1-c) per color c and the signature shift n**n."""
+    return [n ** (n - 1 - c) for c in range(n)], n ** n
+
+
+def _refine(adj: list, colors: list[int], count: int, table: tuple) -> list[int]:
     """Stable partition refinement of a ranked coloring with count colors:
     a vertex's color absorbs the multiset of its neighbors' colors.  Returns
     the colors as ranks 0..k-1.
@@ -59,89 +65,86 @@ def _refine(adj: list, colors: list[int], count: int) -> list[int]:
     equitable partition and returns the colors unchanged; a discrete
     coloring is equitable, so it needs no pass at all."""
     n = len(adj)
-    weights = [n ** (n - 1 - c) for c in range(n)]
-    shift = n ** n
+    weights, shift = table
     while count < n:
-        w = list(map(weights.__getitem__, colors))
-        signatures = [c * shift - sum(map(w.__getitem__, nbrs)) for c, nbrs in zip(colors, adj)]
+        weight = list(map(weights.__getitem__, colors)).__getitem__
+        signatures = [c * shift - sum(map(weight, nbrs)) for c, nbrs in zip(colors, adj)]
         distinct = set(signatures)
         if len(distinct) == count:
             return colors
         count = len(distinct)
-        palette = dict(zip(sorted(distinct), range(count)))
-        colors = list(map(palette.__getitem__, signatures))
+        colors = list(map(sorted(distinct).index, signatures))
     return colors
 
 
-def _equitable(adj: list) -> list[int]:
+def _equitable(adj: list, table: tuple) -> list[int]:
     """The coarsest equitable coloring, refined from the degree ranks, which
     are what a first pass from the uniform coloring would compute."""
-    degrees = [len(nbrs) for nbrs in adj]
+    degrees = list(map(len, adj))
     distinct = sorted(set(degrees))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return _refine(adj, [rank[d] for d in degrees], len(distinct))
+    return _refine(adj, list(map(distinct.index, degrees)), len(distinct), table)
 
 
-def _cells(colors: list[int]) -> list[list[int]]:
-    """The cells of a ranked coloring, in color order."""
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    return cells
+def _label(adj: list, opens: list[int], edges) -> int:
+    """The canonical encoding of the graph with these neighbor tuples, open
+    neighborhood masks and edges; canonical_form and the census both label
+    through it.
 
-
-def _homogeneous(adj: list, cell: list[int]) -> bool:
-    """Every permutation of the cell is an automorphism: its vertices share
-    one exact outside neighborhood and induce a clique or an empty graph."""
-    bit = (1).__lshift__
-    inside = sum(map(bit, cell))
-    masks = [sum(map(bit, adj[v])) for v in cell]
-    outside = masks[0] & ~inside
-    degrees = {(m & inside).bit_count() for m in masks}
-    return degrees in ({0}, {len(cell) - 1}) and all(m & ~inside == outside for m in masks)
-
-
-def canonical_form(g: Graph) -> int:
-    """Canonical adjacency encoding, equal exactly for isomorphic graphs.
-
-    Individualization-refinement: refine by color, split the first
-    non-singleton cell on each of its vertices in turn, and take the minimum
-    encoding over the discrete orderings reached.  Cells whose vertices are
-    provably interchangeable are split only once.  An individualized vertex
-    takes a new last color.  The encoding sets bit a*n + b for every edge
-    whose endpoints sit at positions a < b.
-    """
-    n = g.n
-    adj = list(map(g.neighbors, range(n)))
+    Individualization-refinement (McKay and Piperno, J. Symbolic Comput.
+    60, 2014): refine by color, split the first non-singleton cell on each
+    of its vertices in turn, and take the minimum encoding over the discrete
+    orderings reached.  Cells whose vertices are provably interchangeable
+    (one exact outside neighborhood, inducing a clique or an empty graph)
+    are split only once.  An individualized vertex takes a new last color.
+    The encoding sets bit a*n + b for every edge whose endpoints sit at
+    positions a < b."""
+    n = len(adj)
+    table = _order_table(n)
     best = None
-    stack = [_equitable(adj)]
+    stack = [_equitable(adj, table)]
     while stack:
         colors = stack.pop()
         count = max(colors, default=-1) + 1
         if count == n:
             # discrete: each vertex's color is its position
             code = 0
-            for u, v in g.edges:
+            for u, v in edges:
                 a, b = colors[u], colors[v]
                 code |= 1 << (a * n + b if a < b else b * n + a)
             if best is None or code < best:
                 best = code
             continue
-        cells = _cells(colors)
-        target = next(c for c in cells if len(c) > 1)
-        for v in target[:1] if _homogeneous(adj, target) else target:
+        ordered = sorted(colors)
+        target = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
+        cell = [v for v, c in enumerate(colors) if c == target]
+        inside = sum([1 << v for v in cell])
+        outside = opens[cell[0]] & ~inside
+        if ({(opens[v] & inside).bit_count() for v in cell} in ({0}, {len(cell) - 1})
+                and all(opens[v] & ~inside == outside for v in cell)):
+            del cell[1:]
+        for v in cell:
             bumped = colors[:]
             bumped[v] = count
             # a coloring made discrete here is already ranked and equitable
-            stack.append(bumped if count + 1 == n else _refine(adj, bumped, count + 1))
+            stack.append(bumped if count + 1 == n else _refine(adj, bumped, count + 1, table))
     return best
 
 
+def canonical_form(g: Graph) -> int:
+    """Canonical adjacency encoding, equal exactly for isomorphic graphs
+    (see _label)."""
+    vertices = range(g.n)
+    return _label(list(map(g.neighbors, vertices)), list(map(g.open_mask, vertices)), g.edges)
+
+
 def _automorphisms(g: Graph) -> list[list[int]]:
-    """Every automorphism of g, as the list of vertex images.  An
-    automorphism maps each cell of the refined coloring onto itself, so only
-    the permutations within those cells are tried."""
-    cells = _cells(_equitable([g.neighbors(v) for v in range(g.n)]))
+    """Every automorphism of g, as the list of vertex images, the identity
+    first.  An automorphism maps each cell of the refined coloring onto
+    itself, so only the permutations within those cells are tried."""
+    colors = _equitable(list(map(g.neighbors, range(g.n))), _order_table(g.n))
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
     edges = set(g.edges)
     found = []
     for images in product(*(permutations(cell) for cell in cells)):
@@ -157,15 +160,21 @@ def _automorphisms(g: Graph) -> list[list[int]]:
 
 def _orbit_least_masks(g: Graph):
     """The nonempty vertex masks of g that are least in their orbit under
-    Aut(g), ascending."""
-    autos = _automorphisms(g)
+    Aut(g), ascending.  A mask's image under an automorphism is the sum of
+    its members' image bits."""
+    masks = range(1, 1 << g.n)
+    images = [[1 << w for w in sigma] for sigma in _automorphisms(g)[1:]]
+    if not images:
+        return masks
+    vertices = range(g.n)
     seen = set()
-    for mask in range(1, 1 << g.n):
-        if mask in seen:
-            continue
-        yield mask
-        members = members_of(mask)
-        seen.update(sum(1 << sigma[u] for u in members) for sigma in autos)
+    least = []
+    for mask in masks:
+        if mask not in seen:
+            least.append(mask)
+            members = [u for u in vertices if mask >> u & 1]
+            seen.update([sum(map(bit.__getitem__, members)) for bit in images])
+    return least
 
 
 def _graph_id(n: int, code: int) -> str:
@@ -234,15 +243,30 @@ def _classes(n: int) -> tuple[CensusRecord, ...]:
     26, 1998): an automorphism mapping S to S' extends, fixing the new
     vertex, to an isomorphism of the two children, so the least mask of an
     orbit comes first in the ascending loop and the first child of every
-    class, the one kept as its representative, is still generated."""
+    class, the one kept as its representative, is still generated.
+
+    Each child is labelled from its parent's neighbor tuples, open masks
+    and edges, extended by the new vertex, and a Graph is built only for
+    the first child of each code."""
     if n == 1:
-        children = [Graph(1, [])]
-    else:
-        children = (Graph(n, [*parent.graph.edges, *((u, n - 1) for u in members_of(mask))])
-                    for parent in _classes(n - 1) for mask in _orbit_least_masks(parent.graph))
+        return (CensusRecord(Graph(1, []), _graph_id(1, _label([()], [0], []))),)
     out: dict[int, Graph] = {}
-    for child in children:
-        out.setdefault(canonical_form(child), child)
+    top = n - 1
+    new_bit = 1 << top
+    for parent in _classes(top):
+        g = parent.graph
+        adj = list(map(g.neighbors, range(top)))
+        opens = list(map(g.open_mask, range(top)))
+        for mask in _orbit_least_masks(g):
+            members = [u for u in range(top) if mask >> u & 1]
+            child_adj = [nbrs + (top,) if mask >> u & 1 else nbrs for u, nbrs in enumerate(adj)]
+            child_adj.append(tuple(members))
+            child_opens = [m | new_bit if mask >> u & 1 else m for u, m in enumerate(opens)]
+            child_opens.append(mask)
+            edges = [*g.edges, *((u, top) for u in members)]
+            code = _label(child_adj, child_opens, edges)
+            if code not in out:
+                out[code] = Graph(n, edges)
     return tuple(CensusRecord(out[code], _graph_id(n, code)) for code in sorted(out))
 
 

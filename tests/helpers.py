@@ -14,6 +14,11 @@ from swapsets.graph_core import MAX_GRAPH_N, _mask_members
 from swapsets.tree_algorithms import _INF, _rooted
 
 
+def mask_of(vertices) -> int:
+    """Bitmask of a collection of distinct vertices."""
+    return sum(1 << v for v in vertices)
+
+
 def graph_oracle(n: int, edges):
     """(edges, adjacency) of Graph(n, edges) as the constructor first built
     them, one edge at a time: each edge is checked for range, then for a

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_ddm
+from helpers import brute_ddm, mask_of
 from swapsets import (
     BUDGET_EXCEEDED,
     BudgetError,
@@ -30,7 +30,7 @@ from swapsets import (
 )
 from swapsets import exact_solver, graph_core
 from swapsets.exact_solver import dominating_sets_lex
-from swapsets.graph_core import mask_of, members_of
+from swapsets.graph_core import members_of
 from swapsets.small_alpha import enumerate_connected_graphs
 from test_graph_core import random_graphs
 
@@ -56,7 +56,7 @@ class TestDominatingSetsLex:
             for g in enumerate_connected_graphs(n):
                 for allowed in (g.full_mask, *(rng.getrandbits(n) for _ in range(3))):
                     for k in range(n + 2):
-                        expected = [mask_of(c, n)
+                        expected = [mask_of(c)
                                     for c in combinations(sorted(members_of(allowed)), k)
                                     if is_dominating(g, c)]
                         assert list(dominating_sets_lex(g, k, allowed)) == expected, \

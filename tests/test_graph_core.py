@@ -44,7 +44,6 @@ from swapsets.graph_core import (
     bfs_tree,
     certified,
     lex_least_matching,
-    mask_of,
     members_of,
 )
 
@@ -190,7 +189,6 @@ class TestGraphBasics:
         g = path_graph(4)
         assert g.open_mask(1) == 0b101
         assert g.closed_mask(1) == 0b111
-        assert mask_of([0, 3], 4) == 0b1001
         assert members_of(0b1010) == frozenset({1, 3})
 
     def test_equality_and_hash(self):

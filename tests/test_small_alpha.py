@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -39,6 +40,7 @@ import swapsets.small_alpha as small_alpha
 from swapsets.cli import _dumps
 from test_graph_core import random_graphs
 
+CENSUS_8_SHA256 = "f88c0ca0b3ca3b7310bc5a2c25b738a149179c676f8b573688e9354b6c4eaf9e"
 STRONG_STEM_EXAMPLE = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
 
 
@@ -130,14 +132,15 @@ class TestCensus:
             assert (r.graph.n, r.graph.edges, r.graph_id) == (graph.n, graph.edges, graph_id)
 
     def test_canonical_form_calls(self):
-        # a fresh process, so no census level is cached from earlier tests;
-        # the unpruned generator makes 7,816 calls here
+        # counts the labellings, _label calls, behind canonical_form and the
+        # census, in a fresh process, so no census level is cached from
+        # earlier tests; the unpruned generator makes 7,816 here
         script = (
             "import sys\n"
             "import swapsets.small_alpha as small_alpha\n"
             "calls = []\n"
-            "real = small_alpha.canonical_form\n"
-            "small_alpha.canonical_form = lambda g: calls.append(1) or real(g)\n"
+            "real = small_alpha._label\n"
+            "small_alpha._label = lambda *args: calls.append(1) or real(*args)\n"
             "small_alpha.census(7)\n"
             "sys.stdout.write(str(len(calls)))\n"
         )
@@ -160,6 +163,16 @@ class TestCensus:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.stdout == "9291", proc.stderr
+
+    def test_census_8_matches_recorded_digest(self):
+        # ids, orders and representative edges of every census(8) record,
+        # in order; the oracle comparisons above stop at n = 7
+        records = census(8)
+        digest = hashlib.sha256()
+        for r in records:
+            digest.update(f"{r.graph_id}\t{r.n}\t{r.graph.edges}\n".encode())
+        assert len(records) == 12113
+        assert digest.hexdigest() == CENSUS_8_SHA256
 
     def test_automorphisms_match_brute_force(self):
         for n in range(1, 7):
@@ -187,10 +200,10 @@ class TestCensus:
                                    if result.status == FINITE else None)
 
     def test_cap_checked_before_any_work(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("canonical_form called above the cap")
+        def refuse(*args):
+            raise AssertionError("a graph labelled above the cap")
 
-        monkeypatch.setattr(small_alpha, "canonical_form", refuse)
+        monkeypatch.setattr(small_alpha, "_label", refuse)
         for scan in (census, enumerate_connected_graphs, alpha3_bound_check,
                      conjecture_scan):
             with pytest.raises(BudgetError):

@@ -149,3 +149,21 @@ def test_one_small_alpha_construction():
              and node.func.attr == "build"
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "SwapCertificate"]
     assert len(found) == 1, found
+
+
+def test_one_canonical_labelling():
+    """Canonical forms have one search: small_alpha.py has one `while` loop
+    over a labelling stack, and the function holding it is called both by
+    `canonical_form` and by the census generator `_classes`."""
+    tree = ast.parse((PACKAGE_DIR / "small_alpha.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    holders = [name for name, func in functions.items() for loop in ast.walk(func)
+               if isinstance(loop, ast.While)
+               and isinstance(loop.test, ast.Name) and loop.test.id == "stack"]
+
+    def called(name):
+        return {node.func.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    assert len(holders) == 1, holders
+    assert holders[0] in called("canonical_form") & called("_classes"), holders
