@@ -175,34 +175,24 @@ def _board_problems(m: int, n: int, black: set, white: set, window) -> set:
 
 
 def _corner_ops(box_cells, black, white):
-    """Single token edits inside a corner box, in a fixed order."""
+    """Single token edits inside a corner box as (state, cell) pairs: each
+    cell in turn takes the states black, white and empty except its own."""
     ops = []
     for c in box_cells:
-        if c in black or c in white:
-            ops.append(("recolor", c))
-            ops.append(("remove", c))
-        else:
-            ops.append(("add_black", c))
-            ops.append(("add_white", c))
+        current = "black" if c in black else "white" if c in white else "empty"
+        ops += [(state, c) for state in ("black", "white", "empty") if state != current]
     return ops
 
 
 def _apply_ops(ops, black, white):
+    """The board with each edited cell set to its new state."""
     nb, nw = set(black), set(white)
-    for kind, c in ops:
-        if kind == "recolor":
-            if c in nb:
-                nb.discard(c)
-                nw.add(c)
-            else:
-                nw.discard(c)
-                nb.add(c)
-        elif kind == "remove":
-            nb.discard(c)
-            nw.discard(c)
-        elif kind == "add_black":
+    for state, c in ops:
+        nb.discard(c)
+        nw.discard(c)
+        if state == "black":
             nb.add(c)
-        else:
+        elif state == "white":
             nw.add(c)
     return nb, nw
 

@@ -265,6 +265,15 @@ EXACT_PRODUCT_N = 12
 PAIR_BUDGET = 2_000_000
 
 
+def _pair_below_verdict(product: Graph, bound: int, question: str):
+    """The verdict and pair of a bounded search for a swap pair below bound:
+    question when one is found, "none" when none exists, "unknown" past budget."""
+    found = swap_pair_below(product, bound, node_budget=PAIR_BUDGET)
+    if found.status == FINITE:
+        return question, found.certificate
+    return ("none" if found.status == INFINITE else "unknown"), None
+
+
 def product_question_scan(max_vertices: int) -> ProductScanReport:
     """Test both conjectured lower bounds for DD_m of products, exhaustively
     over unordered pairs of connected non-trivial factors with
@@ -311,12 +320,7 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
                 if has_dominating_set(product, gg - 1):
                     # the domination number alone no longer rules a pair out
                     lo = domination_number(product)
-                    found = swap_pair_below(product, gg, node_budget=PAIR_BUDGET)
-                    if found.status == FINITE:
-                        violation = "gg"
-                        counterexample_cert = found.certificate
-                    elif found.status != INFINITE:
-                        violation = "unknown"
+                    violation, counterexample_cert = _pair_below_verdict(product, gg, "gg")
                 ddm_cell = f"{lo}..{upper}"
                 if violation == "none":
                     if upper < min_expr:
@@ -324,13 +328,8 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
                         counterexample_cert = cert
                     elif gg < min_expr < math.inf and \
                             has_dominating_set(product, min_expr - 1):
-                        found = swap_pair_below(product, min_expr,
-                                                node_budget=PAIR_BUDGET)
-                        if found.status == FINITE:
-                            violation = "min"
-                            counterexample_cert = found.certificate
-                        elif found.status != INFINITE:
-                            violation = "unknown"
+                        violation, counterexample_cert = _pair_below_verdict(
+                            product, min_expr, "min")
             if violation in ("gg", "min"):
                 entry = {
                     "g_id": g_id, "h_id": h_id, "question": violation,

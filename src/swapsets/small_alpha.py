@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .exact_solver import FINITE, dd_m_exact
 from .graph_core import (
@@ -85,9 +85,10 @@ def _equitable(adj: list, table: tuple) -> list[int]:
     return _refine(adj, list(map(distinct.index, degrees)), len(distinct), table)
 
 
-def _label(adj: list, opens: list[int], edges) -> int:
+def _label(adj: list, opens: list[int], edges) -> tuple[int, list[list[int]]]:
     """The canonical encoding of the graph with these neighbor tuples, open
-    neighborhood masks and edges; canonical_form and the census both label
+    neighborhood masks and edges, and generators of its automorphism group
+    as lists of vertex images; canonical_form and the census both label
     through it.
 
     Individualization-refinement (McKay and Piperno, J. Symbolic Comput.
@@ -97,10 +98,24 @@ def _label(adj: list, opens: list[int], edges) -> int:
     (one exact outside neighborhood, inducing a clique or an empty graph)
     are split only once.  An individualized vertex takes a new last color.
     The encoding sets bit a*n + b for every edge whose endpoints sit at
-    positions a < b."""
+    positions a < b.
+
+    The generators are the swaps of a cell split only once, first vertex
+    with each other one, unless an earlier such cell's swaps already permute
+    it every way, and for each later leaf of the best encoding so far the
+    map sending each vertex to the vertex at its position in the first leaf
+    of that encoding.  They generate Aut(G), which maps the unpruned tree
+    onto itself and leaves onto leaves of equal encoding.  The generated
+    group holds the swaps of every cell split only once; such a swap fixes
+    its node and carries each pruned subtree onto the kept one.  So an
+    automorphism maps the first leaf of the least encoding onto the image,
+    under those swaps, of a visited leaf of that encoding: the first leaf or
+    one that yielded a generator."""
     n = len(adj)
     table = _order_table(n)
     best = None
+    generators = []
+    swapped = {}  # vertex -> a cell holding it that the generators permute every way
     stack = [_equitable(adj, table)]
     while stack:
         colors = stack.pop()
@@ -113,6 +128,9 @@ def _label(adj: list, opens: list[int], edges) -> int:
                 code |= 1 << (a * n + b if a < b else b * n + a)
             if best is None or code < best:
                 best = code
+                first = sorted(range(n), key=colors.__getitem__)
+            elif code == best:
+                generators.append(list(map(first.__getitem__, colors)))
             continue
         ordered = sorted(colors)
         target = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
@@ -121,59 +139,50 @@ def _label(adj: list, opens: list[int], edges) -> int:
         outside = opens[cell[0]] & ~inside
         if ({(opens[v] & inside).bit_count() for v in cell} in ({0}, {len(cell) - 1})
                 and all(opens[v] & ~inside == outside for v in cell)):
+            if inside & ~swapped.get(cell[0], 0):
+                for v in cell[1:]:
+                    swap = list(range(n))
+                    swap[cell[0]], swap[v] = v, cell[0]
+                    generators.append(swap)
+                swapped.update(dict.fromkeys(cell, inside))
             del cell[1:]
         for v in cell:
             bumped = colors[:]
             bumped[v] = count
             # a coloring made discrete here is already ranked and equitable
             stack.append(bumped if count + 1 == n else _refine(adj, bumped, count + 1, table))
-    return best
+    return best, generators
 
 
 def canonical_form(g: Graph) -> int:
     """Canonical adjacency encoding, equal exactly for isomorphic graphs
     (see _label)."""
     vertices = range(g.n)
-    return _label(list(map(g.neighbors, vertices)), list(map(g.open_mask, vertices)), g.edges)
+    return _label(list(map(g.neighbors, vertices)), list(map(g.open_mask, vertices)), g.edges)[0]
 
 
-def _automorphisms(g: Graph) -> list[list[int]]:
-    """Every automorphism of g, as the list of vertex images, the identity
-    first.  An automorphism maps each cell of the refined coloring onto
-    itself, so only the permutations within those cells are tried."""
-    colors = _equitable(list(map(g.neighbors, range(g.n))), _order_table(g.n))
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    edges = set(g.edges)
-    found = []
-    for images in product(*(permutations(cell) for cell in cells)):
-        sigma = [0] * g.n
-        for cell, image in zip(cells, images):
-            for v, w in zip(cell, image):
-                sigma[v] = w
-        if all((sigma[u], sigma[v]) in edges or (sigma[v], sigma[u]) in edges
-               for u, v in g.edges):
-            found.append(sigma)
-    return found
-
-
-def _orbit_least_masks(g: Graph):
-    """The nonempty vertex masks of g that are least in their orbit under
-    Aut(g), ascending.  A mask's image under an automorphism is the sum of
-    its members' image bits."""
-    masks = range(1, 1 << g.n)
-    images = [[1 << w for w in sigma] for sigma in _automorphisms(g)[1:]]
-    if not images:
+def _orbit_least_masks(n: int, generators: list[list[int]]):
+    """The nonempty masks of n vertices that are least in their orbit under
+    the group these vertex maps generate, ascending.  The first unseen mask
+    of each orbit is its least; the orbit is then closed under the
+    generators.  A mask's image is the sum of its members' image bits."""
+    masks = range(1, 1 << n)
+    if not generators:
         return masks
-    vertices = range(g.n)
+    images = [[1 << w for w in sigma] for sigma in generators]
+    vertices = range(n)
     seen = set()
     least = []
     for mask in masks:
         if mask not in seen:
             least.append(mask)
-            members = [u for u in vertices if mask >> u & 1]
-            seen.update([sum(map(bit.__getitem__, members)) for bit in images])
+            seen.add(mask)
+            orbit = [mask]
+            for member_mask in orbit:
+                members = [u for u in vertices if member_mask >> u & 1]
+                unseen = {sum(map(bit.__getitem__, members)) for bit in images} - seen
+                seen |= unseen
+                orbit += unseen
     return least
 
 
@@ -229,12 +238,13 @@ def census(max_n: int) -> list[CensusRecord]:
     scan is a filter over these records."""
     if max_n > MAX_CENSUS_N:
         raise BudgetError(f"census capped at n={MAX_CENSUS_N}, got n={max_n}")
-    return [rec for n in range(1, max_n + 1) for rec in _classes(n)]
+    return [rec for n in range(1, max_n + 1) for rec, _ in _classes(n)]
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[CensusRecord, ...]:
-    """The census records on exactly n vertices.
+def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
+    """The census records on exactly n vertices, each with generators of
+    its representative's automorphism group.
 
     Generated by extending each (n-1)-vertex class with a new vertex
     attached to a nonempty neighborhood; every connected graph arises this
@@ -247,27 +257,30 @@ def _classes(n: int) -> tuple[CensusRecord, ...]:
 
     Each child is labelled from its parent's neighbor tuples, open masks
     and edges, extended by the new vertex, and a Graph is built only for
-    the first child of each code."""
+    the first child of each code; the generators its labelling found are
+    kept with it, so the next level labels no parent again."""
     if n == 1:
-        return (CensusRecord(Graph(1, []), _graph_id(1, _label([()], [0], []))),)
-    out: dict[int, Graph] = {}
+        code, generators = _label([()], [0], [])
+        return ((CensusRecord(Graph(1, []), _graph_id(1, code)), generators),)
+    out: dict[int, tuple[Graph, list[list[int]]]] = {}
     top = n - 1
     new_bit = 1 << top
-    for parent in _classes(top):
+    for parent, parent_generators in _classes(top):
         g = parent.graph
         adj = list(map(g.neighbors, range(top)))
         opens = list(map(g.open_mask, range(top)))
-        for mask in _orbit_least_masks(g):
+        for mask in _orbit_least_masks(top, parent_generators):
             members = [u for u in range(top) if mask >> u & 1]
             child_adj = [nbrs + (top,) if mask >> u & 1 else nbrs for u, nbrs in enumerate(adj)]
             child_adj.append(tuple(members))
             child_opens = [m | new_bit if mask >> u & 1 else m for u, m in enumerate(opens)]
             child_opens.append(mask)
             edges = [*g.edges, *((u, top) for u in members)]
-            code = _label(child_adj, child_opens, edges)
+            code, generators = _label(child_adj, child_opens, edges)
             if code not in out:
-                out[code] = Graph(n, edges)
-    return tuple(CensusRecord(out[code], _graph_id(n, code)) for code in sorted(out))
+                out[code] = Graph(n, edges), generators
+    return tuple((CensusRecord(graph, _graph_id(n, code)), generators)
+                 for code, (graph, generators) in sorted(out.items()))
 
 
 def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:

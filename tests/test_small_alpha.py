@@ -27,6 +27,7 @@ from swapsets import (
     dd_m_exact,
     domination_number,
     enumerate_connected_graphs,
+    grid_graph,
     independence_number,
     is_connected,
     is_strong_graph,
@@ -42,6 +43,26 @@ from test_graph_core import random_graphs
 
 CENSUS_8_SHA256 = "f88c0ca0b3ca3b7310bc5a2c25b738a149179c676f8b573688e9354b6c4eaf9e"
 STRONG_STEM_EXAMPLE = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
+
+
+def label_generators(g):
+    """The automorphism generators the labelling search finds on g."""
+    vertices = range(g.n)
+    return small_alpha._label(list(map(g.neighbors, vertices)),
+                              list(map(g.open_mask, vertices)), g.edges)[1]
+
+
+def generated_group(generators, n):
+    """Every vertex map the generators generate, as image tuples."""
+    group = [tuple(range(n))]
+    seen = set(group)
+    for sigma in group:
+        for gen in generators:
+            image = tuple(gen[v] for v in sigma)
+            if image not in seen:
+                seen.add(image)
+                group.append(image)
+    return seen
 
 
 class TestCanonicalForm:
@@ -162,7 +183,7 @@ class TestCensus:
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
-        assert proc.stdout == "9291", proc.stderr
+        assert proc.stdout == "9148", proc.stderr
 
     def test_census_8_matches_recorded_digest(self):
         # ids, orders and representative edges of every census(8) record,
@@ -174,14 +195,33 @@ class TestCensus:
         assert len(records) == 12113
         assert digest.hexdigest() == CENSUS_8_SHA256
 
-    def test_automorphisms_match_brute_force(self):
+    def test_label_generators_match_brute_force(self):
         for n in range(1, 7):
             for g in enumerate_connected_graphs(n):
                 edges = set(g.edges)
-                brute = sorted(list(p) for p in permutations(range(n))
-                               if all(tuple(sorted((p[u], p[v]))) in edges
-                                      for u, v in g.edges))
-                assert sorted(small_alpha._automorphisms(g)) == brute
+                brute = {p for p in permutations(range(n))
+                         if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)}
+                assert generated_group(label_generators(g), n) == brute
+
+    def test_label_generators_reach_known_group_orders(self):
+        # graphs outside the census; between them they reach both the twin
+        # swaps and the maps between leaves of equal encoding
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        petersen = Graph(10, outer + [(i, i + 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        cube = Graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+        k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        cases = [(petersen, 120), (cube, 48), (k33, 72), (cycle_graph(9), 18),
+                 (complete_graph(8), 40320), (star_graph(7), 5040), (grid_graph(4, 4), 8)]
+        for g, order in cases:
+            edges = set(g.edges)
+            generators = label_generators(g)
+            for sigma in generators:
+                assert all(tuple(sorted((sigma[u], sigma[v]))) in edges for u, v in g.edges)
+            assert len(generated_group(generators, g.n)) == order
+        # a twin class yields its swaps once, not again at each level below,
+        # so a large complete graph's generators take n - 1 lists, not n**2 / 2
+        assert len(label_generators(complete_graph(8))) == 7
 
     def test_ids_and_order_match_enumeration(self):
         records = census(7)

@@ -152,9 +152,12 @@ def test_one_small_alpha_construction():
 
 
 def test_one_canonical_labelling():
-    """Canonical forms have one search: small_alpha.py has one `while` loop
-    over a labelling stack, and the function holding it is called both by
-    `canonical_form` and by the census generator `_classes`."""
+    """Canonical forms and symmetry have one search: small_alpha.py has one
+    `while` loop over a labelling stack, and the function holding it is
+    called both by `canonical_form` and by the census generator `_classes`.
+    small_alpha.py never names `permutations`, and only that function and
+    `_equitable` call the refinement, so `_classes` gets its parents'
+    automorphisms only from the labelling search."""
     tree = ast.parse((PACKAGE_DIR / "small_alpha.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     holders = [name for name, func in functions.items() for loop in ast.walk(func)
@@ -167,3 +170,9 @@ def test_one_canonical_labelling():
 
     assert len(holders) == 1, holders
     assert holders[0] in called("canonical_form") & called("_classes"), holders
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "permutations"
+                or isinstance(node, ast.alias) and node.name == "permutations"]
+    refiners = {name for name in functions
+                if called(name) & {"_refine", "_equitable"}}
+    assert refiners == {holders[0], "_equitable"}, refiners
