@@ -9,13 +9,12 @@ carries a certificate, an infinite one means every k up to n//2 was exhausted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import (
     ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
+    _Frozen,
     _mask_members,
     _require_domination_size,
     certified,
@@ -31,17 +30,18 @@ INFINITE = "infinite"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class DdmResult:
+class DdmResult(_Frozen):
     """Outcome of a swap-number computation.
 
     status is one of "finite", "infinite", "budget_exceeded"; k and
     certificate are populated exactly when finite.
     """
 
-    status: str
-    k: int | None = None
-    certificate: SwapCertificate | None = None
+    __slots__ = ("status", "k", "certificate")
+
+    def __init__(self, status: str, k: int | None = None,
+                 certificate: SwapCertificate | None = None):
+        self._set(status, k, certificate)
 
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}

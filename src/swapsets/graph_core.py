@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, count, islice
 from operator import eq, itemgetter, lt
 from typing import Iterable, Iterator
@@ -35,6 +34,41 @@ class BudgetError(RuntimeError):
 class ConstructionError(RuntimeError):
     """A construction failed its own check: a fault in the program, never
     in its input."""
+
+
+class _Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    __slots__ and sets them once, in that order, through _set; instances
+    compare and hash by their field values, refuse assignment, and print
+    as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 # up to this many edges the edge-by-edge scan is faster than the column
@@ -264,10 +298,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def grid_graph(m: int, n: int) -> Graph:
     """Grid with m columns and n rows; cell (i, j), 1-based, has id (i-1)*n + (j-1)."""
     if m < 1 or n < 1:
@@ -450,17 +480,18 @@ def lex_least_matching(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[tu
 # ---------------------------------------------------------------------------
 # swap certificates
 
-@dataclass(frozen=True)
-class SwapCertificate:
+class SwapCertificate(_Frozen):
     """Disjoint sets d and d_prime with a perfect matching between them.
 
     Matching pairs carry the d-side endpoint first.  A certificate verifies
     against a graph when both sets dominate it and every pair is an edge.
     """
 
-    d: frozenset[int]
-    d_prime: frozenset[int]
-    matching: tuple[tuple[int, int], ...]
+    __slots__ = ("d", "d_prime", "matching")
+
+    def __init__(self, d: frozenset[int], d_prime: frozenset[int],
+                 matching: tuple[tuple[int, int], ...]):
+        self._set(d, d_prime, matching)
 
     def size(self) -> int:
         return len(self.d)

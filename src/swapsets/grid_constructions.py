@@ -16,7 +16,6 @@ number used for lower-bound cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator
 
@@ -25,21 +24,21 @@ from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
+    _Frozen,
     certified,
     grid_graph,
 )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """An m-column, n-row grid; vertex (i,j) sits in column i, row j."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
             raise ContractError("grid dimensions must be positive")
+        self._set(m, n)
 
     def in_bounds(self, i: int, j: int) -> bool:
         return 1 <= i <= self.m and 1 <= j <= self.n
@@ -50,22 +49,19 @@ class GridSpec:
         return (i - 1) * self.n + (j - 1)
 
 
-@dataclass(frozen=True)
-class TokenBoard:
+class TokenBoard(_Frozen):
     """Token positions on a grid; black tokens move right, white move left."""
 
-    m: int
-    n: int
-    black: frozenset
-    white: frozenset
+    __slots__ = ("m", "n", "black", "white")
 
-    def __post_init__(self):
-        if self.black & self.white:
+    def __init__(self, m: int, n: int, black: frozenset, white: frozenset):
+        if black & white:
             raise ContractError("a cell cannot hold two tokens")
-        spec = GridSpec(self.m, self.n)
-        for (i, j) in self.black | self.white:
+        spec = GridSpec(m, n)
+        for (i, j) in black | white:
             if not spec.in_bounds(i, j):
                 raise ContractError(f"token at ({i},{j}) outside the grid")
+        self._set(m, n, black, white)
 
     def render(self) -> str:
         rows = []
@@ -356,20 +352,18 @@ def _gamma_sweep(rows: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # density report
 
-@dataclass
-class GridDensityRow:
-    m: int
-    n: int
-    d_size: int
-    mn_over_5: float
-    bound: int
-    gamma: int | None
+class GridDensityRow(_Frozen):
+    __slots__ = ("m", "n", "d_size", "mn_over_5", "bound", "gamma")
+
+    def __init__(self, m: int, n: int, d_size: int, mn_over_5: float, bound: int,
+                 gamma: int | None):
+        self._set(m, n, d_size, mn_over_5, bound, gamma)
 
 
-@dataclass
 class GridDensityReport:
-    max_mn: int
-    rows: list[GridDensityRow] = field(default_factory=list)
+    def __init__(self, max_mn: int):
+        self.max_mn = max_mn
+        self.rows: list[GridDensityRow] = []
 
     def to_tsv(self) -> str:
         lines = ["m\tn\td_size\tmn_over_5\tbound\tgamma"]

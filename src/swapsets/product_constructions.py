@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from .exact_solver import dd_m_exact, swap_pair_below, INFINITE, FINITE
 from .graph_core import (
@@ -19,6 +18,7 @@ from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
+    _Frozen,
     bfs_tree,
     cartesian_product,
     certified,
@@ -34,8 +34,7 @@ from .tree_algorithms import StarPartition, _require_nontrivial_tree, _rooted
 # ---------------------------------------------------------------------------
 # star products (K_{1,p} x K_{1,q})
 
-@dataclass(frozen=True)
-class StarProductLayout:
+class StarProductLayout(_Frozen):
     """Certificate for K_{1,p} box K_{1,q} in (u-index, v-index) coordinates.
 
     Index 0 is the star center on both axes.  Size is max(2, p+q-1): the
@@ -43,11 +42,12 @@ class StarProductLayout:
     dominating singletons cannot exist.
     """
 
-    p: int
-    q: int
-    d_coords: tuple[tuple[int, int], ...]
-    d_prime_coords: tuple[tuple[int, int], ...]
-    matching_coords: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    __slots__ = ("p", "q", "d_coords", "d_prime_coords", "matching_coords")
+
+    def __init__(self, p: int, q: int, d_coords: tuple[tuple[int, int], ...],
+                 d_prime_coords: tuple[tuple[int, int], ...],
+                 matching_coords: tuple[tuple[tuple[int, int], tuple[int, int]], ...]):
+        self._set(p, q, d_coords, d_prime_coords, matching_coords)
 
 
 def star_product_layout(p: int, q: int) -> StarProductLayout:
@@ -223,22 +223,23 @@ def product_swap_general(g: Graph, h: Graph) -> tuple[Graph, SwapCertificate]:
 # ---------------------------------------------------------------------------
 # the two product lower-bound questions
 
-@dataclass
-class ProductScanRow:
-    g_id: str
-    h_id: str
-    ddm_product: str  # exact integer, or "lo..hi" when only bracketed
-    gamma_g: int
-    gamma_h: int
-    min_expr: str  # min(ddm_g * gamma_h, gamma_g * ddm_h), "infinity" possible
-    violation: str  # "none", "gg", "min", or "unknown"
+class ProductScanRow(_Frozen):
+    __slots__ = ("g_id", "h_id", "ddm_product", "gamma_g", "gamma_h", "min_expr",
+                 "violation")
+
+    def __init__(self, g_id: str, h_id: str,
+                 ddm_product: str,  # exact integer, or "lo..hi" when only bracketed
+                 gamma_g: int, gamma_h: int,
+                 min_expr: str,  # min(ddm_g * gamma_h, gamma_g * ddm_h), "infinity" possible
+                 violation: str):  # "none", "gg", "min", or "unknown"
+        self._set(g_id, h_id, ddm_product, gamma_g, gamma_h, min_expr, violation)
 
 
-@dataclass
 class ProductScanReport:
-    max_vertices: int
-    rows: list[ProductScanRow] = field(default_factory=list)
-    counterexamples: list[dict] = field(default_factory=list)
+    def __init__(self, max_vertices: int):
+        self.max_vertices = max_vertices
+        self.rows: list[ProductScanRow] = []
+        self.counterexamples: list[dict] = []
 
     @property
     def gg_violations(self) -> int:

@@ -18,7 +18,6 @@ conjectures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -200,13 +199,13 @@ def canonical_id(g: Graph) -> str:
 MAX_CENSUS_N = 8
 
 
-@dataclass
 class CensusRecord:
     """One isomorphism class of connected graphs: its representative and
     id, with alpha, gamma and the swap number computed on first use."""
 
-    graph: Graph
-    graph_id: str
+    def __init__(self, graph: Graph, graph_id: str):
+        self.graph = graph
+        self.graph_id = graph_id
 
     @property
     def n(self) -> int:
@@ -258,7 +257,8 @@ def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
     Each child is labelled from its parent's neighbor tuples, open masks
     and edges, extended by the new vertex, and a Graph is built only for
     the first child of each code; the generators its labelling found are
-    kept with it, so the next level labels no parent again."""
+    kept with it, so the next level labels no parent again.  No level
+    extends the records at MAX_CENSUS_N, so they keep no generators."""
     if n == 1:
         code, generators = _label([()], [0], [])
         return ((CensusRecord(Graph(1, []), _graph_id(1, code)), generators),)
@@ -278,7 +278,7 @@ def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
             edges = [*g.edges, *((u, top) for u in members)]
             code, generators = _label(child_adj, child_opens, edges)
             if code not in out:
-                out[code] = Graph(n, edges), generators
+                out[code] = Graph(n, edges), generators if n < MAX_CENSUS_N else ()
     return tuple((CensusRecord(graph, _graph_id(n, code)), generators)
                  for code, (graph, generators) in sorted(out.items()))
 
@@ -368,13 +368,14 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
 # ---------------------------------------------------------------------------
 # scan reports
 
-@dataclass
 class ScanReport:
-    n_range: tuple[int, int]
-    filter_desc: str
-    records: list[CensusRecord] = field(default_factory=list)
-    counterexamples: list[dict] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, n_range: tuple[int, int], filter_desc: str,
+                 records: list[CensusRecord]):
+        self.n_range = n_range
+        self.filter_desc = filter_desc
+        self.records = records
+        self.counterexamples: list[dict] = []
+        self.extras: dict = {}
 
     def to_tsv(self) -> str:
         # the stage column stays for readers of the format; it is always empty

@@ -14,14 +14,13 @@ star part on the way back out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact_solver import DdmResult, INFINITE, finite_result
 from .graph_core import (
     ConstructionError,
     ContractError,
     Graph,
     SwapCertificate,
+    _Frozen,
     bfs_tree,
     certified,
     is_strong_graph,
@@ -45,8 +44,7 @@ def _require_nontrivial_tree(t: Graph) -> None:
 # ---------------------------------------------------------------------------
 # star partitions
 
-@dataclass(frozen=True)
-class StarPartition:
+class StarPartition(_Frozen):
     """Vertex partition into induced stars; weight is n minus the part count.
 
     Each part is (center, leaves) with leaves sorted; a K1 part has no
@@ -54,8 +52,10 @@ class StarPartition:
     sorted by center.
     """
 
-    parts: tuple[tuple[int, tuple[int, ...]], ...]
-    weight: int
+    __slots__ = ("parts", "weight")
+
+    def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...], weight: int):
+        self._set(parts, weight)
 
     @classmethod
     def build(cls, raw_parts) -> "StarPartition":
@@ -79,62 +79,6 @@ class StarPartition:
         }
 
 
-def validate_star_partition(t: Graph, p: StarPartition) -> tuple[str, ...]:
-    """All violations of the simple-star-partitioning conditions, empty if valid.
-
-    Conditions: parts partition V(t) and induce stars around their stated
-    centers; every vertex adjacent to exactly one leaf of t lies in a K2 part
-    with that leaf; every K1 part has at least two neighbor parts of size 2
-    or more.
-    """
-    problems = []
-    seen: dict[int, int] = {}
-    for i, (c, leaves) in enumerate(p.parts):
-        for v in (c, *leaves):
-            if not 0 <= v < t.n:
-                problems.append(f"vertex-out-of-range:{v}")
-            elif v in seen:
-                problems.append(f"vertex-in-two-parts:{v}")
-            else:
-                seen[v] = i
-        for v in leaves:
-            if not t.has_edge(c, v):
-                problems.append(f"leaf-not-adjacent-to-center:{v}-{c}")
-        if len(leaves) < 2:
-            continue
-        # adjacent leaves, in the order of a scan over all leaf pairs
-        positions: dict[int, list[int]] = {}
-        for b_idx, v in enumerate(leaves):
-            positions.setdefault(v, []).append(b_idx)
-        for a_idx, v in enumerate(leaves):
-            if 0 <= v < t.n:
-                for b_idx in sorted(b for u in t.neighbors(v)
-                                    for b in positions.get(u, ()) if b > a_idx):
-                    problems.append(f"part-not-a-star:{v}-{leaves[b_idx]}")
-    if len(seen) != t.n:
-        missing = sorted(set(range(t.n)) - set(seen))
-        if missing:
-            problems.append(f"vertex-unassigned:{missing[0]}")
-    if problems:
-        return tuple(problems)
-    size = [1 + len(ls) for _, ls in p.parts]
-    for v in range(t.n):
-        leaf_nbrs = [u for u in t.neighbors(v) if t.degree(u) == 1]
-        if len(leaf_nbrs) == 1:
-            i = seen[v]
-            if size[i] != 2 or seen[leaf_nbrs[0]] != i:
-                problems.append(f"weak-stem-not-paired-with-leaf:{v}")
-    for i, (c, leaves) in enumerate(p.parts):
-        if leaves:
-            continue
-        nbr_parts = {seen[u] for u in t.neighbors(c)} - {i}
-        if sum(1 for j in nbr_parts if size[j] >= 2) < 2:
-            problems.append(f"k1-part-undersupported:{c}")
-    if p.weight != t.n - len(p.parts):
-        problems.append(f"weight-mismatch:{p.weight}!={t.n - len(p.parts)}")
-    return tuple(problems)
-
-
 # ---------------------------------------------------------------------------
 # weak trees and weak reduction
 
@@ -144,17 +88,18 @@ def is_weak_tree(t: Graph) -> bool:
     return not is_strong_graph(t)
 
 
-@dataclass(frozen=True)
-class WeakReduction:
+class WeakReduction(_Frozen):
     """Result of stripping all but the lowest-index leaf from each strong stem.
 
     embedding maps reduced vertex ids back to the original tree; removed
     lists (stem, leaf) pairs in original labels.
     """
 
-    reduced: Graph
-    removed: tuple[tuple[int, int], ...]
-    embedding: tuple[int, ...]
+    __slots__ = ("reduced", "removed", "embedding")
+
+    def __init__(self, reduced: Graph, removed: tuple[tuple[int, int], ...],
+                 embedding: tuple[int, ...]):
+        self._set(reduced, removed, embedding)
 
 
 def weak_reduction(t: Graph) -> WeakReduction:
@@ -406,17 +351,18 @@ def dd_m_tree(t: Graph) -> DdmResult:
     return _tree_result(t, _min_partition(red)[1])
 
 
-@dataclass(frozen=True)
-class TreeAnalysis:
+class TreeAnalysis(_Frozen):
     """Everything `swapsets tree` reports about a non-trivial tree, from one
     tree check, one weak reduction and one partition DP."""
 
-    n: int
-    reduction: WeakReduction
-    reduced_weight: int  # S(T') of the weak reduction T'
-    partition: StarPartition  # a minimum simple star partitioning of T
-    result: DdmResult
-    four_way_equality: bool
+    __slots__ = ("n", "reduction", "reduced_weight", "partition", "result",
+                 "four_way_equality")
+
+    def __init__(self, n: int, reduction: WeakReduction,
+                 reduced_weight: int,  # S(T') of the weak reduction T'
+                 partition: StarPartition,  # a minimum simple star partitioning of T
+                 result: DdmResult, four_way_equality: bool):
+        self._set(n, reduction, reduced_weight, partition, result, four_way_equality)
 
     def to_json_dict(self) -> dict:
         weak = not self.reduction.removed

@@ -14,6 +14,10 @@ from swapsets.graph_core import MAX_GRAPH_N, _mask_members
 from swapsets.tree_algorithms import _INF, _rooted
 
 
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 def mask_of(vertices) -> int:
     """Bitmask of a collection of distinct vertices."""
     return sum(1 << v for v in vertices)
@@ -230,6 +234,62 @@ def star_partition_weight_oracle(t: Graph):
 
     extend(0, [])
     return best[0]
+
+
+def validate_star_partition(t: Graph, p) -> tuple[str, ...]:
+    """All violations of the simple-star-partitioning conditions, empty if valid.
+
+    Conditions: parts partition V(t) and induce stars around their stated
+    centers; every vertex adjacent to exactly one leaf of t lies in a K2 part
+    with that leaf; every K1 part has at least two neighbor parts of size 2
+    or more.
+    """
+    problems = []
+    seen: dict[int, int] = {}
+    for i, (c, leaves) in enumerate(p.parts):
+        for v in (c, *leaves):
+            if not 0 <= v < t.n:
+                problems.append(f"vertex-out-of-range:{v}")
+            elif v in seen:
+                problems.append(f"vertex-in-two-parts:{v}")
+            else:
+                seen[v] = i
+        for v in leaves:
+            if not t.has_edge(c, v):
+                problems.append(f"leaf-not-adjacent-to-center:{v}-{c}")
+        if len(leaves) < 2:
+            continue
+        # adjacent leaves, in the order of a scan over all leaf pairs
+        positions: dict[int, list[int]] = {}
+        for b_idx, v in enumerate(leaves):
+            positions.setdefault(v, []).append(b_idx)
+        for a_idx, v in enumerate(leaves):
+            if 0 <= v < t.n:
+                for b_idx in sorted(b for u in t.neighbors(v)
+                                    for b in positions.get(u, ()) if b > a_idx):
+                    problems.append(f"part-not-a-star:{v}-{leaves[b_idx]}")
+    if len(seen) != t.n:
+        missing = sorted(set(range(t.n)) - set(seen))
+        if missing:
+            problems.append(f"vertex-unassigned:{missing[0]}")
+    if problems:
+        return tuple(problems)
+    size = [1 + len(ls) for _, ls in p.parts]
+    for v in range(t.n):
+        leaf_nbrs = [u for u in t.neighbors(v) if t.degree(u) == 1]
+        if len(leaf_nbrs) == 1:
+            i = seen[v]
+            if size[i] != 2 or seen[leaf_nbrs[0]] != i:
+                problems.append(f"weak-stem-not-paired-with-leaf:{v}")
+    for i, (c, leaves) in enumerate(p.parts):
+        if leaves:
+            continue
+        nbr_parts = {seen[u] for u in t.neighbors(c)} - {i}
+        if sum(1 for j in nbr_parts if size[j] >= 2) < 2:
+            problems.append(f"k1-part-undersupported:{c}")
+    if p.weight != t.n - len(p.parts):
+        problems.append(f"weight-mismatch:{p.weight}!={t.n - len(p.parts)}")
+    return tuple(problems)
 
 
 def part_not_a_star_oracle(t: Graph, p) -> list[str]:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_ddm, mask_of
+from helpers import brute_ddm, complete_graph, mask_of
 from swapsets import (
     BUDGET_EXCEEDED,
     BudgetError,
@@ -16,7 +16,6 @@ from swapsets import (
     INFINITE,
     SwapCertificate,
     canonical_id,
-    complete_graph,
     cycle_graph,
     dd_m_exact,
     domination_number,

@@ -7,6 +7,7 @@ from helpers import (
     brute_alpha,
     brute_dominating,
     brute_gamma,
+    complete_graph,
     graph_oracle,
     has_dominating_set_oracle,
     parse_graph_oracle,
@@ -18,7 +19,6 @@ from swapsets import (
     cartesian_product,
     census,
     certificate_violations,
-    complete_graph,
     cycle_graph,
     domination_number,
     format_graph,

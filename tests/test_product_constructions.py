@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import enumerate_trees, star_partition_order2_oracle
+from helpers import complete_graph, enumerate_trees, star_partition_order2_oracle
 
 from swapsets import (
     ContractError,
     FINITE,
     Graph,
     cartesian_product,
-    complete_graph,
     cycle_graph,
     dd_m_exact,
     is_tree,

@@ -7,7 +7,12 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical_form_oracle, census_oracle, full_extension_children
+from helpers import (
+    canonical_form_oracle,
+    census_oracle,
+    complete_graph,
+    full_extension_children,
+)
 from swapsets import (
     BudgetError,
     ContractError,
@@ -21,7 +26,6 @@ from swapsets import (
     canonical_form,
     canonical_id,
     census,
-    complete_graph,
     conjecture_scan,
     cycle_graph,
     dd_m_exact,
@@ -194,6 +198,13 @@ class TestCensus:
             digest.update(f"{r.graph_id}\t{r.n}\t{r.graph.edges}\n".encode())
         assert len(records) == 12113
         assert digest.hexdigest() == CENSUS_8_SHA256
+
+    def test_records_at_the_cap_keep_no_generators(self):
+        # no level extends the records at the cap, so only those below keep
+        # their automorphism generators
+        cap = small_alpha.MAX_CENSUS_N
+        assert all(generators == () for _, generators in small_alpha._classes(cap))
+        assert any(generators for _, generators in small_alpha._classes(cap - 1))
 
     def test_label_generators_match_brute_force(self):
         for n in range(1, 7):

@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import swapsets
@@ -176,3 +179,35 @@ def test_one_canonical_labelling():
     refiners = {name for name in functions
                 if called(name) & {"_refine", "_equitable"}}
     assert refiners == {holders[0], "_equitable"}, refiners
+
+
+def test_no_dataclasses():
+    """The package declares its classes by hand: importing `dataclasses`
+    (which imports `inspect`) and generating each decorated class's methods
+    cost about two thirds of the package's import time, which every CLI
+    command pays."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}" for module in modules
+                         if module.split(".")[0] == "dataclasses")
+    assert not found, found
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports `swapsets.cli` has not loaded
+    `dataclasses` or `inspect`."""
+    script = ("import sys, swapsets.cli\n"
+              "sys.stdout.write(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -10,6 +10,7 @@ from helpers import (
     part_not_a_star_oracle,
     star_partition_weight_oracle,
     tree_canonical_key,
+    validate_star_partition,
     weak_partition_dp_oracle,
 )
 from swapsets import (
@@ -32,11 +33,7 @@ from swapsets import (
     verify_certificate,
     weak_reduction,
 )
-from swapsets.tree_algorithms import (
-    _label_partition,
-    _weak_partition_dp,
-    validate_star_partition,
-)
+from swapsets.tree_algorithms import _label_partition, _weak_partition_dp
 
 
 def random_trees(max_n=9):
