@@ -208,12 +208,14 @@ def _cmd_gamma_dp(args) -> int:
 
 
 def _scan_alpha2(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import alpha2_swap, census
+    from .small_alpha import CensusRecord, alpha2_swap, census
 
     checked = 0
     failures = []
-    for rec in census(max_n):
-        if rec.n < 4 or rec.alpha != 2:
+    records = [rec for rec in census(max_n) if rec.n >= 4]
+    CensusRecord.fill(records, ("alpha",))
+    for rec in records:
+        if rec.alpha != 2:
             continue
         checked += 1
         if alpha2_swap(rec.graph) is None:
@@ -225,12 +227,14 @@ def _scan_alpha2(max_n: int) -> tuple[dict, int]:
 
 
 def _scan_alpha3(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import alpha3_bound_check, alpha3_swap_with_stage, census
+    from .small_alpha import CensusRecord, alpha3_bound_check, alpha3_swap_with_stage, census
 
     checked = 0
     stages: dict = {}
     no_swap = []
-    for rec in census(max_n):
+    records = census(max_n)
+    CensusRecord.fill(records, ("alpha",))
+    for rec in records:
         if rec.n < 6 or rec.alpha != 3:
             continue
         checked += 1

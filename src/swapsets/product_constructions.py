@@ -19,6 +19,7 @@ from .graph_core import (
     Graph,
     SwapCertificate,
     _Frozen,
+    _split_map,
     bfs_tree,
     cartesian_product,
     certified,
@@ -287,57 +288,71 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
     a bracket [known lower .. construction size].  The min-expression verdict
     degrades to "unknown" only if its bounded search runs out of budget.
     """
-    from .small_alpha import MAX_CENSUS_N, census
+    from .small_alpha import MAX_CENSUS_N, CensusRecord, census
 
     factors = [r for r in census(min(max_vertices // 2, MAX_CENSUS_N)) if r.n >= 2]
-    report = ProductScanReport(max_vertices)
+    CensusRecord.fill(factors, ("gamma", "ddm"))
+    pairs = []
     for i, a in enumerate(factors):
         for b in factors[i:]:
-            g, h = a.graph, b.graph
-            if g.n * h.n > max_vertices:
+            if a.n * b.n > max_vertices:
                 break  # the census is ordered by n, so every later h is larger
-            g_id, gamma_g, ddm_g = a.graph_id, a.gamma, _as_number(a.ddm)
-            h_id, gamma_h, ddm_h = b.graph_id, b.gamma, _as_number(b.ddm)
-            product, cert = product_swap_general(g, h)
-            upper = cert.size()
-            gg = gamma_g * gamma_h
-            min_expr = min(ddm_g * gamma_h, gamma_g * ddm_h)
-            min_text = "infinity" if min_expr == math.inf else str(min_expr)
-            ddm_cell: str
-            violation = "none"
-            counterexample_cert = None
-            if product.n <= EXACT_PRODUCT_N:
-                res = dd_m_exact(product)
-                if res.status != FINITE:  # the construction guarantees a pair
-                    raise ConstructionError("exact solver missed the constructed pair")
-                ddm_cell = str(res.k)
-                if res.k < gg:
-                    violation = "gg"
-                elif res.k < min_expr:
-                    violation = "min"
-                counterexample_cert = res.certificate
-            else:
-                lo = gg
-                if has_dominating_set(product, gg - 1):
-                    # the domination number alone no longer rules a pair out
-                    lo = domination_number(product)
-                    violation, counterexample_cert = _pair_below_verdict(product, gg, "gg")
-                ddm_cell = f"{lo}..{upper}"
-                if violation == "none":
-                    if upper < min_expr:
-                        violation = "min"
-                        counterexample_cert = cert
-                    elif gg < min_expr < math.inf and \
-                            has_dominating_set(product, min_expr - 1):
-                        violation, counterexample_cert = _pair_below_verdict(
-                            product, min_expr, "min")
-            if violation in ("gg", "min"):
-                entry = {
-                    "g_id": g_id, "h_id": h_id, "question": violation,
-                    "ddm_product": ddm_cell, "gamma_g": gamma_g, "gamma_h": gamma_h,
-                    "min_expr": min_text, "certificate": counterexample_cert.to_json_dict(),
-                }
-                report.counterexamples.append(entry)
-            report.rows.append(ProductScanRow(
-                g_id, h_id, ddm_cell, gamma_g, gamma_h, min_text, violation))
+            pairs.append((a, b))
+    report = ProductScanReport(max_vertices)
+    for (a, b), (ddm_cell, min_text, violation, cert) in zip(
+            pairs, _split_map(_product_row, pairs)):
+        if cert is not None:
+            report.counterexamples.append({
+                "g_id": a.graph_id, "h_id": b.graph_id, "question": violation,
+                "ddm_product": ddm_cell, "gamma_g": a.gamma, "gamma_h": b.gamma,
+                "min_expr": min_text, "certificate": cert,
+            })
+        report.rows.append(ProductScanRow(
+            a.graph_id, b.graph_id, ddm_cell, a.gamma, b.gamma, min_text, violation))
     return report
+
+
+def _product_row(pair) -> tuple[str, str, str, dict | None]:
+    """One pair of product_question_scan as plain data: the DD_m cell, the
+    min-expression text, the verdict, and the counterexample certificate's
+    JSON object when the verdict is "gg" or "min", else None."""
+    a, b = pair
+    g, h = a.graph, b.graph
+    gamma_g, ddm_g = a.gamma, _as_number(a.ddm)
+    gamma_h, ddm_h = b.gamma, _as_number(b.ddm)
+    product, cert = product_swap_general(g, h)
+    upper = cert.size()
+    gg = gamma_g * gamma_h
+    min_expr = min(ddm_g * gamma_h, gamma_g * ddm_h)
+    min_text = "infinity" if min_expr == math.inf else str(min_expr)
+    ddm_cell: str
+    violation = "none"
+    counterexample_cert = None
+    if product.n <= EXACT_PRODUCT_N:
+        res = dd_m_exact(product)
+        if res.status != FINITE:  # the construction guarantees a pair
+            raise ConstructionError("exact solver missed the constructed pair")
+        ddm_cell = str(res.k)
+        if res.k < gg:
+            violation = "gg"
+        elif res.k < min_expr:
+            violation = "min"
+        counterexample_cert = res.certificate
+    else:
+        lo = gg
+        if has_dominating_set(product, gg - 1):
+            # the domination number alone no longer rules a pair out
+            lo = domination_number(product)
+            violation, counterexample_cert = _pair_below_verdict(product, gg, "gg")
+        ddm_cell = f"{lo}..{upper}"
+        if violation == "none":
+            if upper < min_expr:
+                violation = "min"
+                counterexample_cert = cert
+            elif gg < min_expr < math.inf and \
+                    has_dominating_set(product, min_expr - 1):
+                violation, counterexample_cert = _pair_below_verdict(
+                    product, min_expr, "min")
+    if violation not in ("gg", "min"):
+        return ddm_cell, min_text, violation, None
+    return ddm_cell, min_text, violation, counterexample_cert.to_json_dict()

@@ -28,6 +28,7 @@ from .graph_core import (
     ContractError,
     Graph,
     SwapCertificate,
+    _split_map,
     certified,
     domination_number,
     format_graph,
@@ -99,6 +100,13 @@ def _label(adj: list, opens: list[int], edges) -> tuple[int, list[list[int]]]:
     The encoding sets bit a*n + b for every edge whose endpoints sit at
     positions a < b.
 
+    A child of the root is skipped when its vertex lies in the orbit, under
+    the generators found so far, of a child searched before it: an
+    automorphism carries the searched child's subtree onto the skipped one,
+    leaf encodings included, so the least encoding is still reached.
+    Children are individualized and refined only when popped, so a skipped
+    child costs no refinement.
+
     The generators are the swaps of a cell split only once, first vertex
     with each other one, unless an earlier such cell's swaps already permute
     it every way, and for each later leaf of the best encoding so far the
@@ -106,19 +114,37 @@ def _label(adj: list, opens: list[int], edges) -> tuple[int, list[list[int]]]:
     of that encoding.  They generate Aut(G), which maps the unpruned tree
     onto itself and leaves onto leaves of equal encoding.  The generated
     group holds the swaps of every cell split only once; such a swap fixes
-    its node and carries each pruned subtree onto the kept one.  So an
-    automorphism maps the first leaf of the least encoding onto the image,
-    under those swaps, of a visited leaf of that encoding: the first leaf or
-    one that yielded a generator."""
+    its node and carries each pruned subtree onto the kept one.  Let a be
+    an automorphism; it maps the first leaf of the least encoding to a leaf
+    of that encoding below some child w of the root.  If w was skipped, a
+    generated h maps w onto a searched child, else let h be the identity.
+    Below a searched child every leaf of that encoding is, up to those
+    swaps, visited: the first leaf or one that yielded a generator.  So h
+    after a is generated, and so is a."""
     n = len(adj)
     table = _order_table(n)
     best = None
     generators = []
     swapped = {}  # vertex -> a cell holding it that the generators permute every way
-    stack = [_equitable(adj, table)]
+    root = _equitable(adj, table)
+    explored = []  # the root's children searched so far, by individualized vertex
+    # a ranked coloring, its number of colors, and the vertex to individualize in it
+    stack = [(root, max(root, default=-1) + 1, None)]
     while stack:
-        colors = stack.pop()
-        count = max(colors, default=-1) + 1
+        colors, count, chosen = stack.pop()
+        if chosen is not None:
+            if colors is root:
+                if generators and chosen in _orbit(explored, generators):
+                    continue
+                explored.append(chosen)
+            # individualized only now, so a pruned child costs no refinement
+            colors = colors[:]
+            colors[chosen] = count
+            count += 1
+            # a coloring made discrete here is already ranked and equitable
+            if count < n:
+                colors = _refine(adj, colors, count, table)
+                count = max(colors) + 1
         if count == n:
             # discrete: each vertex's color is its position
             code = 0
@@ -145,12 +171,19 @@ def _label(adj: list, opens: list[int], edges) -> tuple[int, list[list[int]]]:
                     generators.append(swap)
                 swapped.update(dict.fromkeys(cell, inside))
             del cell[1:]
-        for v in cell:
-            bumped = colors[:]
-            bumped[v] = count
-            # a coloring made discrete here is already ranked and equitable
-            stack.append(bumped if count + 1 == n else _refine(adj, bumped, count + 1, table))
+        stack.extend((colors, count, v) for v in cell)
     return best, generators
+
+
+def _orbit(points: list[int], generators: list[list[int]]) -> set[int]:
+    """The orbit of these points under the group the vertex maps generate."""
+    orbit = set(points)
+    todo = list(points)
+    for v in todo:
+        unseen = {sigma[v] for sigma in generators} - orbit
+        orbit |= unseen
+        todo += unseen
+    return orbit
 
 
 def canonical_form(g: Graph) -> int:
@@ -230,6 +263,16 @@ class CensusRecord:
         """Size of the certificate behind ddm, None when there is none."""
         return None if self.ddm == "infinity" else self.ddm
 
+    @staticmethod
+    def fill(records: list[CensusRecord], names: tuple[str, ...]) -> None:
+        """Compute the named values among alpha, gamma and ddm for each of
+        these records that lacks one, through _split_map, so a scan's solves
+        share two cores and each value is still computed once."""
+        todo = [r for r in records if not all(name in r.__dict__ for name in names)]
+        values = _split_map(lambda r: [getattr(r, name) for name in names], todo)
+        for rec, row in zip(todo, values):
+            rec.__dict__.update(zip(names, row))
+
 
 def census(max_n: int) -> list[CensusRecord]:
     """One record per isomorphism class of connected graphs on 1..max_n
@@ -262,25 +305,58 @@ def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
     if n == 1:
         code, generators = _label([()], [0], [])
         return ((CensusRecord(Graph(1, []), _graph_id(1, code)), generators),)
-    out: dict[int, tuple[Graph, list[list[int]]]] = {}
-    top = n - 1
-    new_bit = 1 << top
-    for parent, parent_generators in _classes(top):
-        g = parent.graph
-        adj = list(map(g.neighbors, range(top)))
-        opens = list(map(g.open_mask, range(top)))
-        for mask in _orbit_least_masks(top, parent_generators):
-            members = [u for u in range(top) if mask >> u & 1]
-            child_adj = [nbrs + (top,) if mask >> u & 1 else nbrs for u, nbrs in enumerate(adj)]
-            child_adj.append(tuple(members))
-            child_opens = [m | new_bit if mask >> u & 1 else m for u, m in enumerate(opens)]
-            child_opens.append(mask)
-            edges = [*g.edges, *((u, top) for u in members)]
-            code, generators = _label(child_adj, child_opens, edges)
-            if code not in out:
-                out[code] = Graph(n, edges), generators if n < MAX_CENSUS_N else ()
     return tuple((CensusRecord(graph, _graph_id(n, code)), generators)
-                 for code, (graph, generators) in sorted(out.items()))
+                 for code, (graph, generators) in sorted(_first_children(n).items()))
+
+
+def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
+    """code -> (Graph, generators) of the first child of each class on n
+    vertices (see _classes), one job per parent and orbit-least mask, in
+    that order.  The jobs are labelled through _split_map.  Each process
+    labels its jobs in order and returns None for a code it has met before,
+    so it holds one entry per class it meets; the first job of each code is
+    among those returned and is kept, so the records are those of the
+    serial loop.  The jobs and codes are freed on return, before _classes
+    builds its records."""
+    top = n - 1
+    parents = _classes(top)
+    shapes = [(list(map(rec.graph.neighbors, range(top))),
+               list(map(rec.graph.open_mask, range(top))), rec.graph.edges)
+              for rec, _ in parents]
+    from array import array  # here, so that importing the package skips it
+
+    # one machine word per job: the parent's index above the mask
+    jobs = array("q", (i << top | mask for i, (_, generators) in enumerate(parents)
+                       for mask in _orbit_least_masks(top, generators)))
+    low = (1 << top) - 1
+    keep = n < MAX_CENSUS_N
+    seen = set()  # the codes this process has labelled
+
+    def label(job):
+        code, generators = _label(*_child(*shapes[job >> top], job & low))
+        if code in seen:
+            return None
+        seen.add(code)
+        return code, generators if keep else ()
+
+    out: dict[int, tuple[Graph, list[list[int]]]] = {}
+    for job, first in zip(jobs, _split_map(label, jobs)):
+        if first is not None and first[0] not in out:
+            out[first[0]] = Graph(n, _child(*shapes[job >> top], job & low)[2]), first[1]
+    return out
+
+
+def _child(adj: list, opens: list[int], edges, mask: int) -> tuple[list, list[int], list]:
+    """The neighbor tuples, open masks and edges of a graph with these
+    extended by a new last vertex attached to the members of mask."""
+    top = len(adj)
+    new_bit = 1 << top
+    members = [u for u in range(top) if mask >> u & 1]
+    child_adj = [nbrs + (top,) if mask >> u & 1 else nbrs for u, nbrs in enumerate(adj)]
+    child_adj.append(tuple(members))
+    child_opens = [m | new_bit if mask >> u & 1 else m for u, m in enumerate(opens)]
+    child_opens.append(mask)
+    return child_adj, child_opens, [*edges, *((u, top) for u in members)]
 
 
 def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
@@ -402,7 +478,11 @@ class ScanReport:
 def alpha3_bound_check(scope_n: int) -> ScanReport:
     """Exhaustive check that every connected graph up to scope_n with
     independence number 3 and a swap set has swap number at most 3."""
-    records = [r for r in census(scope_n) if r.alpha == 3 and r.ddm != "infinity"]
+    records = census(scope_n)
+    CensusRecord.fill(records, ("alpha",))
+    records = [r for r in records if r.alpha == 3]
+    CensusRecord.fill(records, ("ddm",))
+    records = [r for r in records if r.ddm != "infinity"]
     report = ScanReport((1, scope_n), "alpha=3 with a swap set", records)
     report.counterexamples = [{
         "graph": format_graph(r.graph),
@@ -419,6 +499,7 @@ def conjecture_scan(scope_n: int) -> ScanReport:
     exist.  Also evaluates the nine-vertex doubled-subdivided triangle that
     motivated the second conjecture's threshold discussion."""
     report = ScanReport((1, scope_n), "all connected graphs", census(scope_n))
+    CensusRecord.fill(report.records, ("alpha", "gamma", "ddm"))
     no_swap: dict = {}
     for rec in report.records:
         if rec.ddm == "infinity":

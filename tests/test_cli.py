@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import random
@@ -22,7 +23,10 @@ from swapsets import (
     verify_certificate,
     weak_reduction,
 )
+from swapsets import product_constructions, small_alpha
 from swapsets.cli import _dumps, load_graph, run
+from swapsets.graph_core import ConstructionError
+from test_graph_core import CAN_SPLIT, assert_no_child_left, run_serial_and_forked
 
 
 def run_cli(capsys, *argv):
@@ -467,9 +471,12 @@ class TestScan:
         assert code == 0 and obj["gamma_gamma_violations"] == 0
 
     def test_scan_caps_fail_before_work(self):
-        # a fresh process, so no enumeration is cached from earlier tests
+        # a fresh process, so no enumeration is cached from earlier tests,
+        # and without os.fork, so no labelling runs in a worker the counter
+        # cannot see
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "del os.fork\n"
             "import swapsets.small_alpha as small_alpha\n"
             "from swapsets.cli import run\n"
             "calls = []\n"
@@ -515,6 +522,48 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestTwoCores:
+    @pytest.mark.parametrize("argv", [
+        ("scan", "conjectures", "--max-n", "7", "--format", "tsv"),
+        ("scan", "alpha3", "--max-n", "7"),
+        ("scan", "products", "--max-n", "15"),
+    ])
+    def test_forked_and_serial_scans_print_the_same(self, argv):
+        body = ("from swapsets.cli import run\n"
+                "code = run(sys.argv[2:])\n"
+                "sys.stdout.flush()\n"
+                "sys.stderr.write(f'exit {code} ')\n")
+        runs = run_serial_and_forked(body, *argv)
+        assert runs["serial"][0] == runs["forked"][0]
+        assert runs["serial"][1].split()[:2] == runs["forked"][1].split()[:2]
+
+    @pytest.mark.parametrize("kind, max_n", [
+        ("alpha2", "7"), ("alpha3", "7"), ("conjectures", "7"), ("products", "15")])
+    def test_scans_leave_no_child(self, capsys, monkeypatch, kind, max_n):
+        # a fresh census cache, so the levels and the solves are split again
+        monkeypatch.setattr(small_alpha, "_classes",
+                            lru_cache(maxsize=None)(small_alpha._classes.__wrapped__))
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        run_cli(capsys, "scan", kind, "--max-n", max_n)
+        assert_no_child_left()
+        assert bool(forks) == CAN_SPLIT
+
+    def test_a_failing_product_row_leaves_no_child(self, capfd, monkeypatch):
+        # the row fails in both halves, so in the worker too; the parent
+        # reports the one error with exit code 4, and no worker is left
+        def failing(*args, **kwargs):
+            raise ConstructionError("exact solver missed the constructed pair")
+
+        monkeypatch.setattr(product_constructions, "dd_m_exact", failing)
+        assert run(["scan", "products", "--max-n", "15"]) == 4
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exact solver missed the constructed pair\n"
+        assert_no_child_left()
 
 
 class TestBenchmarkReference:

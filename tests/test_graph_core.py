@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +43,14 @@ from swapsets import (
     subdivided_doubled_triangle,
     verify_certificate,
 )
+import swapsets
 from swapsets import graph_core
 from swapsets.graph_core import (
     MAX_GRAPH_N,
+    BudgetError,
     ConstructionError,
+    _SPLIT_MIN_ITEMS,
+    _split_map,
     bfs_tree,
     certified,
     lex_least_matching,
@@ -532,3 +542,147 @@ class TestCartesianProduct:
                         if (x // h.n == y // h.n and h.has_edge(x % h.n, y % h.n))
                         or (x % h.n == y % h.n and g.has_edge(x // h.n, y // h.n))]
             assert list(prod.edges) == expected
+
+
+CAN_SPLIT = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
+needs_two_cores = pytest.mark.skipif(not CAN_SPLIT, reason="needs os.fork and two CPUs")
+
+
+SPLIT_MODES = (
+    "import os, sys\n"
+    "forks = []\n"
+    "if sys.argv[1] == 'serial':\n"
+    "    del os.fork\n"
+    "else:\n"
+    "    real_fork = os.fork\n"
+    "    os.fork = lambda: forks.append(1) or real_fork()\n"
+)
+
+
+def run_serial_and_forked(body: str, *argv: str) -> dict[str, tuple[str, str]]:
+    """Run the script body in two fresh processes, one without os.fork, so
+    every map runs in-process, and one that counts its forks.  Returns
+    each run's stdout and its stderr followed by its fork count; the body
+    sees its argv from sys.argv[2:]."""
+    env = {**os.environ, "PYTHONPATH": str(Path(swapsets.__file__).parent.parent)}
+    script = SPLIT_MODES + body + "sys.stderr.write(f'forks={len(forks)}')\n"
+    runs = {}
+    for mode in ("serial", "forked"):
+        proc = subprocess.run([sys.executable, "-c", script, mode, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = proc.stdout, proc.stderr
+    assert runs["serial"][1].endswith("forks=0")
+    assert runs["forked"][1].endswith("forks=0") != CAN_SPLIT
+    return runs
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitMap:
+    def test_keeps_order(self):
+        items = list(range(5 * _SPLIT_MIN_ITEMS + 3))
+        assert _split_map(lambda x: (x, [x * x], {"x": str(x)}), items) == [
+            (x, [x * x], {"x": str(x)}) for x in items]
+        assert _split_map(abs, []) == []
+        assert_no_child_left()
+
+    @needs_two_cores
+    def test_second_half_runs_in_one_child(self):
+        parent = os.getpid()
+        items = list(range(2 * _SPLIT_MIN_ITEMS + 1))
+        pids = _split_map(lambda _: os.getpid(), items)
+        half = len(items) // 2
+        assert set(pids[:half]) == {parent}
+        assert len(set(pids[half:])) == 1 and pids[-1] != parent
+        assert_no_child_left()
+
+    def test_short_lists_never_fork(self):
+        parent = os.getpid()
+        for size in (0, 1, _SPLIT_MIN_ITEMS - 1):
+            assert _split_map(lambda _: os.getpid(), list(range(size))) == [parent] * size
+
+    def test_child_failure_raises_in_the_parent(self, capfd):
+        items = list(range(2 * _SPLIT_MIN_ITEMS))
+        half = len(items) // 2
+
+        def fn(x):
+            if x >= half:
+                raise BudgetError("the child's half")
+            return x
+
+        with pytest.raises(BudgetError, match="the child's half"):
+            _split_map(fn, items)
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "")
+        assert_no_child_left()
+
+    def test_child_that_dies_without_data_is_replaced(self):
+        parent = os.getpid()
+        items = list(range(2 * _SPLIT_MIN_ITEMS))
+
+        def fn(x):
+            if os.getpid() != parent:
+                os._exit(0)  # a clean exit, but the parent gets no data
+            return -x
+
+        assert _split_map(fn, items) == [-x for x in items]
+        assert_no_child_left()
+
+    def test_parent_failure_kills_and_reaps_the_child(self):
+        items = list(range(2 * _SPLIT_MIN_ITEMS))
+        half = len(items) // 2
+
+        def fn(x):
+            if x < half:
+                raise ConstructionError("the parent's half")
+            if x == half:
+                time.sleep(60)  # a child left running would hold the parent here
+            return x
+
+        started = time.perf_counter()
+        with pytest.raises(ConstructionError, match="the parent's half"):
+            _split_map(fn, items)
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+    def test_without_fork_the_map_is_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        parent = os.getpid()
+        assert _split_map(lambda _: os.getpid(), list(range(3 * _SPLIT_MIN_ITEMS))) == [
+            parent] * (3 * _SPLIT_MIN_ITEMS)
+
+    def test_a_failed_fork_maps_in_process(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        parent = os.getpid()
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+        assert _split_map(lambda _: os.getpid(), list(range(3 * _SPLIT_MIN_ITEMS))) == [
+            parent] * (3 * _SPLIT_MIN_ITEMS)
+        if fds:
+            assert len(os.listdir("/proc/self/fd")) == len(fds)  # the pipe is closed
+
+    def test_a_second_thread_keeps_the_map_serial(self):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            parent = os.getpid()
+            pids = _split_map(lambda _: os.getpid(), list(range(3 * _SPLIT_MIN_ITEMS)))
+        finally:
+            release.set()
+            waiter.join(30)
+        assert not waiter.is_alive()
+        assert pids == [parent] * (3 * _SPLIT_MIN_ITEMS)
+
+    def test_one_cpu_keeps_the_map_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        parent = os.getpid()
+        assert _split_map(lambda _: os.getpid(), list(range(3 * _SPLIT_MIN_ITEMS))) == [
+            parent] * (3 * _SPLIT_MIN_ITEMS)

@@ -43,7 +43,7 @@ from swapsets import (
 )
 import swapsets.small_alpha as small_alpha
 from swapsets.cli import _dumps
-from test_graph_core import random_graphs
+from test_graph_core import random_graphs, run_serial_and_forked
 
 CENSUS_8_SHA256 = "f88c0ca0b3ca3b7310bc5a2c25b738a149179c676f8b573688e9354b6c4eaf9e"
 STRONG_STEM_EXAMPLE = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5)])
@@ -159,9 +159,11 @@ class TestCensus:
     def test_canonical_form_calls(self):
         # counts the labellings, _label calls, behind canonical_form and the
         # census, in a fresh process, so no census level is cached from
-        # earlier tests; the unpruned generator makes 7,816 here
+        # earlier tests, and without os.fork, so no call is made in a worker
+        # the counter cannot see; the unpruned generator makes 7,816 here
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "del os.fork\n"
             "import swapsets.small_alpha as small_alpha\n"
             "calls = []\n"
             "real = small_alpha._label\n"
@@ -174,10 +176,12 @@ class TestCensus:
         assert proc.stdout == "4160", proc.stderr
 
     def test_refine_calls(self):
-        # a fresh process, as above; the refinement that starts from the
-        # uniform coloring and confirms discrete colorings makes 12,582
+        # a fresh process without os.fork, as above; the refinement that
+        # starts from the uniform coloring and confirms discrete colorings
+        # makes 12,582, and the search without pruning at the root 9,148
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "del os.fork\n"
             "import swapsets.small_alpha as small_alpha\n"
             "calls = []\n"
             "real = small_alpha._refine\n"
@@ -187,7 +191,7 @@ class TestCensus:
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
-        assert proc.stdout == "9148", proc.stderr
+        assert proc.stdout == "8544", proc.stderr
 
     def test_census_8_matches_recorded_digest(self):
         # ids, orders and representative edges of every census(8) record,
@@ -198,6 +202,62 @@ class TestCensus:
             digest.update(f"{r.graph_id}\t{r.n}\t{r.graph.edges}\n".encode())
         assert len(records) == 12113
         assert digest.hexdigest() == CENSUS_8_SHA256
+
+    def test_forked_and_serial_census_8_agree(self):
+        body = (
+            "import hashlib\n"
+            "from swapsets import census\n"
+            "digest = hashlib.sha256()\n"
+            "for r in census(8):\n"
+            "    digest.update(f'{r.graph_id}\\t{r.n}\\t{r.graph.edges}\\n'.encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        runs = run_serial_and_forked(body)
+        assert runs["serial"][0] == runs["forked"][0] == CENSUS_8_SHA256 + "\n"
+
+    def test_census_8_after_failed_workers(self):
+        # every worker exits before sending data, so the parent labels the
+        # second half of each level itself, with the codes of its own half
+        # already seen; the records must be those of the serial loop
+        script = (
+            "import hashlib, os, sys\n"
+            "real_fork = os.fork\n"
+            "def failing_fork():\n"
+            "    pid = real_fork()\n"
+            "    if pid == 0:\n"
+            "        os._exit(1)\n"
+            "    return pid\n"
+            "os.fork = failing_fork\n"
+            "from swapsets import census\n"
+            "digest = hashlib.sha256()\n"
+            "for r in census(8):\n"
+            "    digest.update(f'{r.graph_id}\\t{r.n}\\t{r.graph.edges}\\n'.encode())\n"
+            "sys.stdout.write(digest.hexdigest())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert (proc.stdout, proc.stderr) == (CENSUS_8_SHA256, "")
+
+    def test_refine_calls_on_cycles_do_not_grow_faster_than_n(self):
+        # C_n is vertex-transitive: once two children of the root are
+        # searched, their leaves give a rotation and a reflection and every
+        # other child of the root is skipped unrefined, so the count stays
+        # at 7; without that pruning it was 3n + 1
+        calls = []
+        real = small_alpha._refine
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        counts = []
+        for n in (10, 20, 40, 80):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(small_alpha, "_refine", counting)
+                canonical_form(cycle_graph(n))
+            counts.append(len(calls))
+        assert counts == [7, 7, 7, 7]
 
     def test_records_at_the_cap_keep_no_generators(self):
         # no level extends the records at the cap, so only those below keep

@@ -211,3 +211,35 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_one_parallel_path():
+    """Work is split across processes in one place: `os.fork` is called in
+    exactly one function of the package, `graph_core._split_map`."""
+    callers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "fork" for node in ast.walk(func)):
+                callers.append(f"{path.name}:{func.name}")
+    assert callers == ["graph_core.py:_split_map"], callers
+
+
+def test_cli_import_loads_no_pool_machinery():
+    """Importing `swapsets.cli` loads none of the process-pool, thread and
+    pickling modules; the one parallel path needs only `os` and `marshal`,
+    so starting a command costs no more than before."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import swapsets.cli\n"
+              "loaded = set(sys.modules) - before\n"
+              "pool = {'multiprocessing', 'concurrent.futures', 'threading', 'pickle'}\n"
+              "sys.stdout.write(' '.join(sorted(m for m in loaded\n"
+              "                                 if m in pool or m.split('.')[0] in pool)))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
