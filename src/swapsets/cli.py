@@ -208,7 +208,7 @@ def _cmd_gamma_dp(args) -> int:
 
 
 def _scan_alpha2(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import CensusRecord, alpha2_swap, census
+    from .small_alpha import CensusRecord, _matched_swap, census
 
     checked = 0
     failures = []
@@ -218,7 +218,7 @@ def _scan_alpha2(max_n: int) -> tuple[dict, int]:
         if rec.alpha != 2:
             continue
         checked += 1
-        if alpha2_swap(rec.graph) is None:
+        if _matched_swap(rec.graph, rec.alpha) is None:
             failures.append({"graph_id": rec.graph_id,
                              "graph": format_graph(rec.graph)})
     out = {"scan": "alpha2", "max_n": max_n, "checked": checked,
@@ -227,27 +227,28 @@ def _scan_alpha2(max_n: int) -> tuple[dict, int]:
 
 
 def _scan_alpha3(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import CensusRecord, alpha3_bound_check, alpha3_swap_with_stage, census
+    from .small_alpha import CensusRecord, _matched_swap, alpha3_bound_check, census
 
-    checked = 0
     stages: dict = {}
     no_swap = []
     records = census(max_n)
     CensusRecord.fill(records, ("alpha",))
+    records = [rec for rec in records if rec.n >= 6 and rec.alpha == 3]
+    CensusRecord.fill(records, ("ddm",))
     for rec in records:
-        if rec.n < 6 or rec.alpha != 3:
-            continue
-        checked += 1
-        found = alpha3_swap_with_stage(rec.graph)
-        if found is None:
+        # the stages of alpha3_swap_with_stage, on the values the record holds
+        if _matched_swap(rec.graph, rec.alpha) is not None:
+            stage = "matched-dominating"
+        elif rec.ddm != "infinity":
+            stage = "fallback"
+        else:
             no_swap.append({"graph_id": rec.graph_id,
                             "graph": format_graph(rec.graph)})
             continue
-        _, stage = found
         stages[stage] = stages.get(stage, 0) + 1
     bound = alpha3_bound_check(max_n)
     out = {
-        "scan": "alpha3", "max_n": max_n, "checked": checked,
+        "scan": "alpha3", "max_n": max_n, "checked": len(records),
         "stages": stages,
         "existence_counterexamples": no_swap,
         "bound_records": len(bound.records),

@@ -82,10 +82,6 @@ def perfect_dom_member(x: int, y: int, t: int) -> bool:
     return (2 * y - x - 2 * t) % 5 == 0
 
 
-def _s3(x: int, y: int) -> bool:
-    return (2 * y - x - 1) % 5 == 0
-
-
 # ---------------------------------------------------------------------------
 # the m >= n >= 8 construction
 
@@ -103,26 +99,26 @@ def _base_board(m: int, n: int) -> tuple[set, set]:
 
     for i in range(1, m):
         for j in range(1, n + 1):
-            if _s3(i, j):
+            if perfect_dom_member(i, j, 3):
                 black.add((i, j))
     for j in range(1, n + 1):
-        if _s3(m, j):
+        if perfect_dom_member(m, j, 3):
             place_white(m, j)
     for i in range(1, m + 1):
         for (outside, inside) in (((i, n + 1), (i, n)), ((i, 0), (i, 1))):
-            if _s3(*outside):
+            if perfect_dom_member(*outside, 3):
                 if i < m:
                     black.add(inside)
                 else:
                     place_white(*inside)  # column-m tokens must move left
     for j in range(1, n + 1):
-        if _s3(0, j) or _s3(-1, j):
+        if perfect_dom_member(0, j, 3) or perfect_dom_member(-1, j, 3):
             place_white(2, j)
-        if _s3(m + 1, j):
+        if perfect_dom_member(m + 1, j, 3):
             place_white(m, j)
-    if _s3(0, n + 1):
+    if perfect_dom_member(0, n + 1, 3):
         place_white(2, n)
-    if _s3(m + 1, n + 1):
+    if perfect_dom_member(m + 1, n + 1, 3):
         place_white(m, n)
     # the rule for (m+1,0) names the out-of-range cell (m,0); any resulting
     # gap at that corner is left to the repair pass

@@ -9,7 +9,6 @@ certificate valid on a spanning subgraph stays valid in the host graph.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from .exact_solver import dd_m_exact, swap_pair_below, INFINITE, FINITE
@@ -25,11 +24,9 @@ from .graph_core import (
     certified,
     domination_number,
     has_dominating_set,
-    is_connected,
-    is_tree,
     star_graph,
 )
-from .tree_algorithms import StarPartition, _require_nontrivial_tree, _rooted
+from .tree_algorithms import StarPartition, _require_nontrivial_tree
 
 
 # ---------------------------------------------------------------------------
@@ -83,65 +80,27 @@ def star_product_swap(p: int, q: int) -> tuple[Graph, SwapCertificate]:
 # star partitions with no singleton parts
 
 def star_partition_order2(t: Graph) -> StarPartition:
-    """Partition a non-trivial tree into induced stars of order >= 2.
-
-    Greedy: repeatedly take the deepest vertex whose remaining children are
-    all leaves (the lowest index among equals) and cut it off with them; a
-    root left alone at the end joins the part of one of its former children
-    (always possible: that child is a part center, or its K2 part can be
-    re-centered).  The vertices left always form a subtree around the root,
-    and cutting a stem off can make only its parent and grandparent ready,
-    so a heap of ready stems finds each next stem in O(log n).
-    """
+    """Partition a non-trivial tree into induced stars of order >= 2."""
     _require_nontrivial_tree(t)
-    parent, children, order = _rooted(t)
-    depth = [0] * t.n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    return _star_parts(*bfs_tree(t))
 
-    live_children = [len(cs) for cs in children]
-    # live children that still have live children of their own
-    inner_children = [sum(1 for c in cs if children[c]) for cs in children]
-    ready = [(-depth[v], v) for v in range(t.n) if children[v] and not inner_children[v]]
-    heapq.heapify(ready)
-    cut = [False] * t.n
-    remaining = t.n
-    parts: list[tuple[int, list[int]]] = []
-    while remaining > 1:
-        _, v = heapq.heappop(ready)
-        members = [c for c in children[v] if not cut[c]]
-        parts.append((v, members))
-        for x in [v, *members]:
-            cut[x] = True
-        remaining -= 1 + len(members)
-        p = parent[v]
-        if p == -1:
-            continue
-        live_children[p] -= 1
-        inner_children[p] -= 1
-        if live_children[p] and not inner_children[p]:
-            heapq.heappush(ready, (-depth[p], p))
-        elif not live_children[p] and parent[p] != -1:
-            grand = parent[p]
-            inner_children[grand] -= 1
-            if not inner_children[grand]:
-                heapq.heappush(ready, (-depth[grand], grand))
-    if remaining:
-        r = order[0]
-        for idx, (c, leaves) in enumerate(parts):
-            if t.has_edge(r, c):
-                leaves.append(r)
-                break
-            if len(leaves) == 1 and t.has_edge(r, leaves[0]):
-                # re-center a K2 at the endpoint adjacent to the root
-                parts[idx] = (leaves[0], [c, r])
-                break
-        else:
-            raise ConstructionError("lone root could not join any star part")
-    partition = StarPartition.build(parts)
-    if not all(ls for _, ls in partition.parts):
-        raise ConstructionError("star partition left a singleton part")
-    return partition
+
+def _star_parts(parent: list[int], order: list[int]) -> StarPartition:
+    """Stars of order >= 2 partitioning the tree of a breadth-first walk
+    (parent, order) over at least two vertices.
+
+    One pass from the deepest vertex up: a vertex that none of its children
+    joined joins its parent's star, so a vertex is a center exactly when some
+    child of it is not.  The root is left alone only when every child of it
+    is a center; it then joins the star of its lowest-index child, order[1].
+    """
+    leaves: list[list[int]] = [[] for _ in parent]
+    for v in reversed(order[1:]):
+        if not leaves[v]:
+            leaves[parent[v]].append(v)
+    if not leaves[order[0]]:
+        leaves[order[1]].append(order[0])
+    return StarPartition.build((c, ls) for c, ls in enumerate(leaves) if ls)
 
 
 def partition_stats(p: StarPartition) -> tuple[int, int]:
@@ -162,19 +121,16 @@ def tree_product_swap(t: Graph, t_prime: Graph) -> tuple[Graph, SwapCertificate,
     leaf counts; the concrete certificate size is sum of max(2, a+b-1) over
     blocks, which exceeds the bound only through all-K2 blocks.
     """
-    cert, paper_bound = _tile_tree_product(t, t_prime)
+    cert, paper_bound = _tile(star_partition_order2(t), star_partition_order2(t_prime),
+                              t_prime.n)
     product = cartesian_product(t, t_prime)
     return product, certified(product, cert), paper_bound
 
 
-def _tile_tree_product(t: Graph, t_prime: Graph) -> tuple[SwapCertificate, int]:
-    """tree_product_swap's certificate and bound, without building or
-    checking the product."""
-    _require_nontrivial_tree(t)
-    _require_nontrivial_tree(t_prime)
-    parts = star_partition_order2(t)
-    parts_p = star_partition_order2(t_prime)
-    hn = t_prime.n
+def _tile(parts: StarPartition, parts_p: StarPartition, hn: int) -> tuple[SwapCertificate, int]:
+    """The star-times-star certificate on the product of two factors with
+    these star partitions, the second factor on hn vertices, and its
+    a-priori bound, without building or checking the product."""
     d: list[int] = []
     dp: list[int] = []
     matching: list[tuple[int, int]] = []
@@ -197,26 +153,22 @@ def _tile_tree_product(t: Graph, t_prime: Graph) -> tuple[SwapCertificate, int]:
     return SwapCertificate.build(d, dp, matching), x * x2 * (l + l2 - 1)
 
 
-def bfs_spanning_tree(g: Graph) -> Graph:
-    """Breadth-first spanning tree from vertex 0, neighbors in ascending order."""
-    parent, order = bfs_tree(g)
-    if len(order) != g.n:
-        raise ContractError("spanning tree needs a connected graph")
-    return Graph(g.n, [(parent[v], v) for v in order[1:]])
-
-
 def product_swap_general(g: Graph, h: Graph) -> tuple[Graph, SwapCertificate]:
     """Verified certificate on g box h for any connected non-trivial factors,
     whether or not the factors themselves admit swap pairs: the tree-product
     tiling on breadth-first spanning trees stays valid in the host product,
-    so only the host product is built and checked."""
+    so only the host product is built and checked.  One walk per factor
+    checks that it is connected and gives its spanning tree, which for a
+    tree is the factor itself."""
     if g.n < 2 or h.n < 2:
         raise ContractError("product factors must be non-trivial")
-    if not (is_connected(g) and is_connected(h)):
-        raise ContractError("product factors must be connected")
-    tg = g if is_tree(g) else bfs_spanning_tree(g)
-    th = h if is_tree(h) else bfs_spanning_tree(h)
-    cert, _ = _tile_tree_product(tg, th)
+    parts = []
+    for f in (g, h):
+        parent, order = bfs_tree(f)
+        if len(order) != f.n:
+            raise ContractError("product factors must be connected")
+        parts.append(_star_parts(parent, order))
+    cert, _ = _tile(*parts, h.n)
     product = cartesian_product(g, h)
     return product, certified(product, cert)
 

@@ -388,6 +388,12 @@ def _matched_partner(g: Graph, i_set: tuple[int, ...]) -> SwapCertificate | None
     return None
 
 
+def _matched_swap(g: Graph, alpha: int) -> SwapCertificate | None:
+    """The partner certificate of g's lexicographically least maximum
+    independent set, for a connected g of independence number alpha."""
+    return _matched_partner(g, _lex_max_independent_set(g, alpha))
+
+
 # ---------------------------------------------------------------------------
 # independence number 2
 
@@ -406,7 +412,7 @@ def alpha2_swap(g: Graph) -> SwapCertificate | None:
         raise ContractError("alpha2_swap needs more than three vertices")
     if independence_number(g) != 2:
         raise ContractError("alpha2_swap needs independence number exactly 2")
-    return _matched_partner(g, _lex_max_independent_set(g, 2))
+    return _matched_swap(g, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +438,7 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
         raise ContractError("alpha3_swap needs at least six vertices")
     if independence_number(g) != 3:
         raise ContractError("alpha3_swap needs independence number exactly 3")
-    cert = _matched_partner(g, _lex_max_independent_set(g, 3))
+    cert = _matched_swap(g, 3)
     if cert is not None:
         return cert, "matched-dominating"
     result = dd_m_exact(g)

@@ -6,6 +6,7 @@ Graph accessors, so disagreements point at the library, not the oracle.
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -691,6 +692,25 @@ def tree_canonical_key(t: Graph) -> str:
                         nxt.append(u)
         layer = nxt
     return min(_ahu_key(t, c) for c in alive)
+
+
+def prufer_tree(n: int, rng) -> Graph:
+    """The labelled tree on n >= 2 vertices decoded from a Prüfer sequence
+    drawn from rng, smallest leaf first."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, edges)
 
 
 @lru_cache(maxsize=None)

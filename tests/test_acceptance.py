@@ -283,7 +283,7 @@ def test_criterion_8_products():
     for i, g in enumerate(factors):
         for h in factors[i:]:
             if g.n * h.n > 24:
-                continue
+                break  # factors are ordered by n, so every later h is larger
             pairs += 1
             prod, cert = product_swap_general(g, h)
             if not verify_certificate(prod, cert):

@@ -1,18 +1,17 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import complete_graph, enumerate_trees, star_partition_order2_oracle
+from helpers import complete_graph, enumerate_trees, prufer_tree, star_partition_order2_oracle
 
 from swapsets import (
     ContractError,
     FINITE,
     Graph,
-    cartesian_product,
     cycle_graph,
     dd_m_exact,
-    is_tree,
     path_graph,
     product_question_scan,
     product_swap_general,
@@ -23,8 +22,9 @@ from swapsets import (
     tree_product_swap,
     verify_certificate,
 )
-from swapsets import small_alpha
-from swapsets.product_constructions import bfs_spanning_tree, partition_stats
+from swapsets import graph_core, product_constructions, small_alpha, tree_algorithms
+from swapsets.cli import _dumps
+from swapsets.product_constructions import partition_stats
 from test_tree_algorithms import random_trees, spider
 
 
@@ -138,18 +138,6 @@ class TestTreeProductSwap:
                 assert verify_certificate(g, cert)
 
 
-class TestBfsSpanningTree:
-    @pytest.mark.parametrize("g", [
-        cycle_graph(7),
-        complete_graph(5),
-        cartesian_product(cycle_graph(3), path_graph(3)),
-    ])
-    def test_spans(self, g):
-        t = bfs_spanning_tree(g)
-        assert t.n == g.n and is_tree(t)
-        assert set(t.edges) <= set(g.edges)
-
-
 class TestProductSwapGeneral:
     def test_mixed_factor_pairs(self):
         pairs = [
@@ -172,6 +160,51 @@ class TestProductSwapGeneral:
     def test_trivial_factor_rejected(self):
         with pytest.raises(ContractError):
             product_swap_general(path_graph(1), path_graph(4))
+
+    def test_disconnected_factor_rejected(self):
+        with pytest.raises(ContractError, match="connected"):
+            product_swap_general(Graph(4, [(0, 1), (2, 3)]), path_graph(3))
+
+    def test_one_walk_per_factor_and_one_graph(self, monkeypatch):
+        g, h = cycle_graph(7), path_graph(5)
+        walks, graphs = [], [0]
+        real_walk, real_init = graph_core.bfs_tree, Graph.__init__
+
+        def counted_walk(g):
+            walks.append(g.n)
+            return real_walk(g)
+
+        def counted_init(self, *args, **kwargs):
+            graphs[0] += 1
+            real_init(self, *args, **kwargs)
+
+        for module in (graph_core, tree_algorithms, product_constructions):
+            monkeypatch.setattr(module, "bfs_tree", counted_walk)
+        monkeypatch.setattr(Graph, "__init__", counted_init)
+        product, cert = product_swap_general(g, h)
+        # a tree is its own breadth-first spanning tree, so the walk that
+        # checks a factor's connectivity is all its tiling needs; the only
+        # Graph built is the product
+        assert sorted(walks) == [5, 7]
+        assert graphs[0] == 1 and product.n == 35
+
+
+# sha256 of the certificates product_swap_general builds on every unordered
+# pair of the 30 census factors with 2..5 vertices and on a 300-vertex
+# Prüfer tree x C8, one serialized certificate per line
+TILING_SHA256 = "b3f716038c7b6531b5b8f26c1770ce1c81681ecdcc8911e2064d3c6e2be57364"
+
+
+def test_tiling_matches_recorded_digest():
+    factors = [rec.graph for rec in small_alpha.census(5) if rec.n >= 2]
+    pairs = [(g, h) for i, g in enumerate(factors) for h in factors[i:]]
+    pairs.append((prufer_tree(300, random.Random(2017)), cycle_graph(8)))
+    assert (len(factors), len(pairs)) == (30, 466)
+    digest = hashlib.sha256()
+    for g, h in pairs:
+        _, cert = product_swap_general(g, h)
+        digest.update(_dumps(cert.to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == TILING_SHA256
 
 
 class TestProductQuestionScan:
