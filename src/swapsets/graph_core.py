@@ -168,9 +168,6 @@ class Graph:
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

@@ -26,7 +26,7 @@ from .graph_core import (
     has_dominating_set,
     star_graph,
 )
-from .tree_algorithms import StarPartition, _require_nontrivial_tree
+from .tree_algorithms import StarPartition, _rooted
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +81,10 @@ def star_product_swap(p: int, q: int) -> tuple[Graph, SwapCertificate]:
 
 def star_partition_order2(t: Graph) -> StarPartition:
     """Partition a non-trivial tree into induced stars of order >= 2."""
-    _require_nontrivial_tree(t)
-    return _star_parts(*bfs_tree(t))
+    parent, _, order = _rooted(t)
+    if t.n < 2:
+        raise ContractError("expected a non-trivial tree")
+    return _star_parts(parent, order)
 
 
 def _star_parts(parent: list[int], order: list[int]) -> StarPartition:

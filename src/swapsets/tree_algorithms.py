@@ -24,21 +24,22 @@ from .graph_core import (
     bfs_tree,
     certified,
     is_strong_graph,
-    is_tree,
 )
 
 _INF = 10 ** 9
 
 
-def _require_tree(t: Graph) -> None:
-    if not is_tree(t):
+def _rooted(t: Graph):
+    """(parent, children, order) for t rooted at vertex 0: the breadth-first
+    walk plus each vertex's children, ascending.  The walk is the tree
+    check: it must reach all n vertices over n - 1 edges."""
+    parent, order = bfs_tree(t)
+    if len(order) != t.n or len(t.edges) != t.n - 1:
         raise ContractError("expected a tree")
-
-
-def _require_nontrivial_tree(t: Graph) -> None:
-    _require_tree(t)
-    if t.n < 2:
-        raise ContractError("expected a non-trivial tree")
+    children = [[] for _ in range(t.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    return parent, children, order
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ class StarPartition(_Frozen):
 
 def is_weak_tree(t: Graph) -> bool:
     """True iff no vertex of the tree has two or more leaf neighbors."""
-    _require_tree(t)
+    _rooted(t)
     return not is_strong_graph(t)
 
 
@@ -104,7 +105,13 @@ class WeakReduction(_Frozen):
 
 def weak_reduction(t: Graph) -> WeakReduction:
     """The weak reduction of a tree; a weak tree is its own reduction."""
-    _require_tree(t)
+    return _reduce(t)[0]
+
+
+def _reduce(t: Graph):
+    """The weak reduction of a tree and the walk _rooted(t) that checked it,
+    which for a weak tree also roots its reduction."""
+    walk = _rooted(t)
     degree = list(map(t.degree, range(t.n)))
     kept_leaf = [-1] * t.n
     removed = []
@@ -116,37 +123,18 @@ def weak_reduction(t: Graph) -> WeakReduction:
         else:
             removed.append((v, u))
     if not removed:
-        return WeakReduction(t, (), tuple(range(t.n)))
+        return WeakReduction(t, (), tuple(range(t.n))), walk
     drop = {u for _, u in removed}
     keep = [v for v in range(t.n) if v not in drop]
     index = {v: i for i, v in enumerate(keep)}
     # t.edges are sorted and index keeps their order, so the reduced edges
     # arrive sorted
     edges = [(index[u], index[v]) for u, v in t.edges if u not in drop and v not in drop]
-    return WeakReduction(Graph(len(keep), edges), tuple(sorted(removed)), tuple(keep))
-
-
-def _reduce_nontrivial(t: Graph) -> WeakReduction:
-    """Weak reduction of a non-trivial tree.  weak_reduction checks that t is
-    a tree, so callers that start here check it once."""
-    red = weak_reduction(t)
-    if t.n < 2:
-        raise ContractError("expected a non-trivial tree")
-    return red
+    return WeakReduction(Graph(len(keep), edges), tuple(sorted(removed)), tuple(keep)), walk
 
 
 # ---------------------------------------------------------------------------
 # S(T) dynamic program on weak trees
-
-def _rooted(t: Graph):
-    """(parent, children, order) for t rooted at vertex 0: the breadth-first
-    walk plus each vertex's children, ascending."""
-    parent, order = bfs_tree(t)
-    children = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return parent, children, order
-
 
 # Per-vertex states for the K1/K2-only partition DP:
 #   P  - in a K2 part with its parent (the pair's weight charged at the parent)
@@ -156,8 +144,9 @@ def _rooted(t: Graph):
 # A K1 part with no non-K1 child parts can never be rescued by its single
 # parent, so that configuration is simply infeasible.
 
-def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """Minimum-weight K1/K2 simple star partitioning of a weak non-trivial tree.
+def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Minimum-weight K1/K2 simple star partitioning of a weak non-trivial
+    tree, over its walk _rooted(t).
 
     Returns (weight, parts).  Weight counts the K2 parts.  Ties break toward
     pairing with the parent, then toward the lower-index child partner.
@@ -167,7 +156,7 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
     child's state from them with the tie rules of the forward pass.
     """
     n = t.n
-    parent, children, order = _rooted(t)
+    parent, children, order = walk
     # stem_leaf[v]: v's only leaf neighbour, which its part must be a K2 with
     stem_leaf = [-1] * n
     for u, nbrs in enumerate(map(t.neighbors, range(n))):
@@ -253,12 +242,12 @@ def _weak_partition_dp(t: Graph) -> tuple[int, list[tuple[int, tuple[int, ...]]]
     return (cost_c[root] if root_c else cost_k0[root]), parts
 
 
-def _min_partition(red: WeakReduction) -> tuple[int, StarPartition]:
+def _min_partition(red: WeakReduction, walk) -> tuple[int, StarPartition]:
     """(S(T'), a minimum simple star partitioning of T) for the weak
-    reduction T' of a non-trivial tree T: the DP solves T', then each
-    stripped leaf rejoins its stem's part (the stem becomes the center of a
-    bigger star) and adds exactly 1 to the weight."""
-    w_red, parts_red = _weak_partition_dp(red.reduced)
+    reduction T' of a non-trivial tree T, with walk _rooted(T'): the DP
+    solves T', then each stripped leaf rejoins its stem's part (the stem
+    becomes the center of a bigger star) and adds exactly 1 to the weight."""
+    w_red, parts_red = _weak_partition_dp(red.reduced, walk)
     emb = red.embedding
     extra: dict[int, list[int]] = {}
     for stem, leaf in red.removed:
@@ -279,22 +268,23 @@ def _min_partition(red: WeakReduction) -> tuple[int, StarPartition]:
 
 
 def s_weight(t: Graph) -> tuple[int, StarPartition]:
-    """Exact minimum weight of a simple star partitioning, with a witness.
+    """Exact minimum weight of a simple star partitioning, with a witness:
+    the partition analyse_tree computes.
 
     Strong stems are handled by reduction: strip all but one leaf per strong
     stem, solve the weak remainder by DP, then re-expand each stripped leaf
     into its stem's part.
     """
-    _, partition = _min_partition(_reduce_nontrivial(t))
+    partition = analyse_tree(t).partition
     return partition.weight, partition
 
 
 # ---------------------------------------------------------------------------
 # Swap certificate from a K1/K2 partition
 
-def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
+def _label_partition(t: Graph, p: StarPartition, walk) -> SwapCertificate:
     """Convert a K1/K2 simple star partitioning of a weak tree into a swap
-    certificate of the same size, in one top-down pass.
+    certificate of the same size, in one pass down its walk _rooted(t).
 
     Each K2 part contributes one endpoint to D and the other to D', matched
     along the part's edge; by default its lower-index endpoint goes to D.
@@ -307,7 +297,7 @@ def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     unchecked: callers pass the K1/K2 partition that _min_partition builds
     for a weak tree.
     """
-    parent, children, order = _rooted(t)
+    parent, children, order = walk
     mate = [-1] * t.n
     for c, leaves in p.parts:
         if leaves:
@@ -334,26 +324,19 @@ def _label_partition(t: Graph, p: StarPartition) -> SwapCertificate:
     return SwapCertificate.build(d, d_prime, [(v, mate[v]) for v in d])
 
 
-def _tree_result(t: Graph, partition: StarPartition) -> DdmResult:
-    """The certified certificate of a weak tree from its minimum partition."""
-    cert = certified(t, _label_partition(t, partition))
-    if cert.size() != partition.weight:
-        raise ConstructionError("tree certificate size differs from S(T)")
-    return finite_result(cert)
-
-
 def dd_m_tree(t: Graph) -> DdmResult:
     """Swap number of a non-trivial tree: infinite iff the tree is strong,
     otherwise S(t) with a certificate built from a minimum partition."""
-    red = _reduce_nontrivial(t)
-    if red.removed:
-        return DdmResult(INFINITE)
-    return _tree_result(t, _min_partition(red)[1])
+    red, walk = _reduce(t)
+    # a strong stem has two leaves, so a strong tree is non-trivial
+    return DdmResult(INFINITE) if red.removed else _analysis(t, red, walk).result
 
 
 class TreeAnalysis(_Frozen):
     """Everything `swapsets tree` reports about a non-trivial tree, from one
-    tree check, one weak reduction and one partition DP."""
+    weak reduction and one partition DP.  The walk that checks the tree
+    also roots it for the DP and the labeling; a strong tree's reduction is
+    a relabeled tree and gets a walk of its own."""
 
     __slots__ = ("n", "reduction", "reduced_weight", "partition", "result",
                  "four_way_equality")
@@ -383,11 +366,27 @@ def analyse_tree(t: Graph) -> TreeAnalysis:
     """S(T), its partition, the swap number and the equality flags of a
     non-trivial tree, each derived from a single DP on the weak reduction:
     the tree is weak iff the reduction removed nothing, alpha = DD_m iff it
-    is weak with 2 S(T) = n, and alpha = eviction iff 2 S(T') = |T'|."""
-    red = _reduce_nontrivial(t)
-    w_red, partition = _min_partition(red)
-    result = DdmResult(INFINITE) if red.removed else _tree_result(t, partition)
-    return TreeAnalysis(t.n, red, w_red, partition, result, _is_hat(t))
+    is weak with 2 S(T) = n, and alpha = eviction iff 2 S(T') = |T'|.
+    gamma, eviction, swap and independence numbers are all equal exactly on
+    hats: the weak trees that are K2 or whose leaves are half their
+    vertices, since each leaf then has a stem of its own."""
+    return _analysis(t, *_reduce(t))
+
+
+def _analysis(t: Graph, red: WeakReduction, walk) -> TreeAnalysis:
+    """analyse_tree on t, its weak reduction red and its walk _rooted(t)."""
+    if t.n < 2:
+        raise ContractError("expected a non-trivial tree")
+    if red.removed:
+        # the reduced tree is a relabeled Graph, so it needs its own walk
+        w_red, partition = _min_partition(red, _rooted(red.reduced))
+        return TreeAnalysis(t.n, red, w_red, partition, DdmResult(INFINITE), False)
+    w_red, partition = _min_partition(red, walk)
+    cert = certified(t, _label_partition(t, partition, walk))
+    if cert.size() != partition.weight:
+        raise ConstructionError("tree certificate size differs from S(T)")
+    hat = t.n == 2 or 2 * list(map(t.degree, range(t.n))).count(1) == t.n
+    return TreeAnalysis(t.n, red, w_red, partition, finite_result(cert), hat)
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +396,3 @@ def hat_graph(h: Graph) -> Graph:
     """Attach a pendant leaf n+i to every vertex i."""
     edges = list(h.edges) + [(i, h.n + i) for i in range(h.n)]
     return Graph(2 * h.n, edges)
-
-
-def _is_hat(t: Graph) -> bool:
-    """True iff the tree is a hat of a tree on half its vertices: every
-    non-leaf has exactly one leaf neighbor and leaves are half the order.
-    Exactly these trees have gamma = eviction = swap number = independence
-    number all equal."""
-    if t.n == 2:
-        return True
-    if t.n % 2:
-        return False
-    leaves = [v for v in range(t.n) if t.degree(v) == 1]
-    if len(leaves) != t.n // 2:
-        return False
-    for v in range(t.n):
-        if t.degree(v) == 1:
-            continue
-        if sum(1 for u in t.neighbors(v) if t.degree(u) == 1) != 1:
-            return False
-    return True
-

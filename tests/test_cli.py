@@ -27,6 +27,7 @@ from swapsets import product_constructions, small_alpha
 from swapsets.cli import _dumps, load_graph, run
 from swapsets.graph_core import ConstructionError
 from test_graph_core import CAN_SPLIT, assert_no_child_left, run_serial_and_forked
+from test_tree_algorithms import count_walks
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +89,7 @@ def _separate_payload(t: Graph) -> dict:
 class TestLoadGraph:
     def test_generators(self):
         assert load_graph("p5").n == 5
-        assert load_graph("c6").edge_count() == 6
+        assert len(load_graph("c6").edges) == 6
         assert load_graph("k1,4").n == 5
         assert load_graph("grid:4x3").n == 12
 
@@ -313,18 +314,21 @@ class TestTree:
         expected = _separate_payload(t)
         path = tmp_path / "t.edges"
         path.write_text(format_graph(t))
-        calls = {"is_tree": 0, "weak_reduction": 0}
-        for name in calls:
-            original = getattr(tree_algorithms, name)
+        reductions = [0]
+        reduce = tree_algorithms._reduce
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(t):
+            reductions[0] += 1
+            return reduce(t)
 
-            monkeypatch.setattr(tree_algorithms, name, counted)
+        monkeypatch.setattr(tree_algorithms, "_reduce", counted)
+        walks = count_walks(monkeypatch)
         code, obj = run_json(capsys, "tree", str(path))
         assert code == 0
-        assert calls == {"is_tree": 1, "weak_reduction": 1}
+        # the walk that checks the tree roots it; only a strong tree's
+        # relabelled reduction is walked again
+        assert len(walks) == (1 if weak else 2) and walks[0] == t.n
+        assert reductions == [1]
         assert obj == expected
 
 

@@ -286,12 +286,12 @@ class TestParseFormat:
 
 class TestGenerators:
     def test_shapes(self):
-        assert path_graph(5).edge_count() == 4
-        assert cycle_graph(5).edge_count() == 5
-        assert star_graph(4).edge_count() == 4 and star_graph(4).n == 5
-        assert complete_graph(4).edge_count() == 6
+        assert len(path_graph(5).edges) == 4
+        assert len(cycle_graph(5).edges) == 5
+        assert len(star_graph(4).edges) == 4 and star_graph(4).n == 5
+        assert len(complete_graph(4).edges) == 6
         g = grid_graph(4, 3)
-        assert g.n == 12 and g.edge_count() == 4 * 2 + 3 * 3
+        assert g.n == 12 and len(g.edges) == 4 * 2 + 3 * 3
 
     def test_grid_vertex_layout(self):
         g = grid_graph(3, 2)
@@ -301,7 +301,7 @@ class TestGenerators:
 
     def test_nine_vertex_graph(self):
         g = subdivided_doubled_triangle()
-        assert g.n == 9 and g.edge_count() == 12
+        assert g.n == 9 and len(g.edges) == 12
         assert all(g.degree(v) == 4 for v in range(3))
         assert all(g.degree(v) == 2 for v in range(3, 9))
 
@@ -495,14 +495,14 @@ class TestCartesianProduct:
     def test_c4_as_product(self):
         p2 = path_graph(2)
         prod = cartesian_product(p2, p2)
-        assert prod.n == 4 and prod.edge_count() == 4
+        assert prod.n == 4 and len(prod.edges) == 4
         assert all(prod.degree(v) == 2 for v in range(4))
 
     def test_edge_count_formula(self):
         g, h = path_graph(3), cycle_graph(4)
         prod = cartesian_product(g, h)
         assert prod.n == 12
-        assert prod.edge_count() == g.n * h.edge_count() + h.n * g.edge_count()
+        assert len(prod.edges) == g.n * len(h.edges) + h.n * len(g.edges)
 
     def test_index_coords_round_trip(self):
         # vertex (a, b) of g x h has flat id a * h.n + b

@@ -10,8 +10,11 @@ from swapsets import (
     ContractError,
     FINITE,
     Graph,
+    canonical_id,
+    cartesian_product,
     cycle_graph,
     dd_m_exact,
+    domination_number,
     path_graph,
     product_question_scan,
     product_swap_general,
@@ -22,10 +25,10 @@ from swapsets import (
     tree_product_swap,
     verify_certificate,
 )
-from swapsets import graph_core, product_constructions, small_alpha, tree_algorithms
+from swapsets import small_alpha
 from swapsets.cli import _dumps
 from swapsets.product_constructions import partition_stats
-from test_tree_algorithms import random_trees, spider
+from test_tree_algorithms import count_walks, random_trees, spider
 
 
 class TestStarProductLayout:
@@ -167,19 +170,14 @@ class TestProductSwapGeneral:
 
     def test_one_walk_per_factor_and_one_graph(self, monkeypatch):
         g, h = cycle_graph(7), path_graph(5)
-        walks, graphs = [], [0]
-        real_walk, real_init = graph_core.bfs_tree, Graph.__init__
-
-        def counted_walk(g):
-            walks.append(g.n)
-            return real_walk(g)
+        graphs = [0]
+        real_init = Graph.__init__
 
         def counted_init(self, *args, **kwargs):
             graphs[0] += 1
             real_init(self, *args, **kwargs)
 
-        for module in (graph_core, tree_algorithms, product_constructions):
-            monkeypatch.setattr(module, "bfs_tree", counted_walk)
+        walks = count_walks(monkeypatch)
         monkeypatch.setattr(Graph, "__init__", counted_init)
         product, cert = product_swap_general(g, h)
         # a tree is its own breadth-first spanning tree, so the walk that
@@ -257,3 +255,33 @@ class TestProductQuestionScan:
         for row in report.rows:
             if row.ddm_product.isdigit():
                 assert int(row.ddm_product) >= max(row.gamma_g, row.gamma_h)
+
+
+# the two 6-vertex factors of the max-question counterexamples
+H1 = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5)])
+H2 = Graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (2, 5), (4, 5)])
+
+
+class TestMaxQuestionCounterexamples:
+    """max(DD_m(G) gamma(H), gamma(G) DD_m(H)) <= DD_m(G x H) fails on three
+    products with 24 vertices, each of swap number 5 against a bound of 6,
+    while the min bound and gamma(G) gamma(H) still hold."""
+
+    @pytest.mark.parametrize("g,h,h_id,low", [
+        (path_graph(4), H1, "6-20c18b08", 2),
+        (cycle_graph(4), H1, "6-20c18b08", 2),
+        (cycle_graph(4), H2, "6-20c18910", 4),
+    ])
+    def test_product_undercuts_the_max_bound(self, g, h, h_id, low):
+        assert canonical_id(h) == h_id
+        factors = [dd_m_exact(g), dd_m_exact(h)]
+        for f, res in zip((g, h), factors):
+            assert res.status == FINITE and verify_certificate(f, res.certificate)
+        ddm_g, ddm_h = (r.k for r in factors)
+        gamma_g, gamma_h = domination_number(g), domination_number(h)
+        product = cartesian_product(g, h)
+        res = dd_m_exact(product)
+        assert res.status == FINITE and verify_certificate(product, res.certificate)
+        assert res.k == 5 < max(ddm_g * gamma_h, gamma_g * ddm_h) == 6
+        assert min(ddm_g * gamma_h, gamma_g * ddm_h) == low <= res.k
+        assert gamma_g * gamma_h == low <= res.k

@@ -243,3 +243,25 @@ def test_cli_import_loads_no_pool_machinery():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_the_rooted_walk_is_the_tree_check():
+    """A tree is checked by the walk that roots it: in tree_algorithms.py
+    `bfs_tree` is called only inside `_rooted`, and neither tree_algorithms.py
+    nor product_constructions.py calls `is_tree` or `is_connected`."""
+    found = []
+    for name in ("tree_algorithms.py", "product_constructions.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_rooted":
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in ("is_tree", "is_connected") or (
+                        called == "bfs_tree" and name == "tree_algorithms.py"
+                        and id(node) not in allowed):
+                    found.append(f"{name}:{node.lineno} {called}")
+    assert not found, found

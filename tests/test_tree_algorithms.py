@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +31,28 @@ from swapsets import (
     path_graph,
     s_weight,
     star_graph,
+    tree_algorithms,
+    tree_product_swap,
     verify_certificate,
     weak_reduction,
 )
-from swapsets.tree_algorithms import _label_partition, _weak_partition_dp
+from swapsets.graph_core import bfs_tree
+from swapsets.tree_algorithms import _label_partition, _rooted, _weak_partition_dp
+
+
+def count_walks(monkeypatch) -> list[int]:
+    """Count `bfs_tree` walks in every swapsets module that binds it; the
+    returned list gets the order of each walked graph."""
+    walks = []
+
+    def counted(g):
+        walks.append(g.n)
+        return bfs_tree(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "swapsets" and getattr(module, "bfs_tree", None) is bfs_tree:
+            monkeypatch.setattr(module, "bfs_tree", counted)
+    return walks
 
 
 def random_trees(max_n=9):
@@ -165,7 +184,8 @@ class TestPartitionDpOracle:
     def assert_agrees(t):
         reduced = weak_reduction(t).reduced
         if reduced.n >= 2:
-            assert _weak_partition_dp(reduced) == weak_partition_dp_oracle(reduced)
+            assert (_weak_partition_dp(reduced, _rooted(reduced))
+                    == weak_partition_dp_oracle(reduced))
 
     def test_all_small_trees(self):
         for n in range(2, 11):
@@ -235,7 +255,7 @@ class TestStarPartitionShape:
 
         monkeypatch.setattr(Graph, "has_edge", counted)
         assert validate_star_partition(t, partition) == ()
-        assert len(calls) <= t.n + t.edge_count()
+        assert len(calls) <= t.n + len(t.edges)
 
 
 class TestSwapFromPartition:
@@ -245,7 +265,7 @@ class TestSwapFromPartition:
                 if not is_weak_tree(t):
                     continue
                 weight, partition = s_weight(t)
-                cert = _label_partition(t, partition)
+                cert = _label_partition(t, partition, _rooted(t))
                 assert verify_certificate(t, cert)
                 assert cert.size() == weight
 
@@ -276,7 +296,7 @@ class TestSwapFromPartition:
             return real(self, v)
 
         monkeypatch.setattr(Graph, "neighbors", counted)
-        cert = _label_partition(t, partition)
+        cert = _label_partition(t, partition, _rooted(t))
         assert len(calls) <= 2 * t.n
         monkeypatch.undo()
         assert verify_certificate(t, cert)
@@ -334,6 +354,42 @@ class TestDdmTree:
         result = dd_m_tree(t)
         assert result.status == FINITE
         assert verify_certificate(t, result.certificate)
+
+
+# vertex 5 has three leaves, so the reduction drops two and relabels the rest
+STRONG_TREE = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
+
+
+class TestOneWalkPerTree:
+    """The walk that checks a tree also roots it for the partition DP and
+    the labelling; a strong tree's reduction is a relabelled tree and gets
+    one walk of its own, except in dd_m_tree, which stops at the reduction."""
+
+    @pytest.mark.parametrize("solve,weak_walks,strong_walks", [
+        (analyse_tree, 1, 2),
+        (dd_m_tree, 1, 1),
+        (s_weight, 1, 2),
+    ])
+    def test_walks_per_call(self, monkeypatch, solve, weak_walks, strong_walks):
+        weak = hat_graph(path_graph(40))
+        walks = count_walks(monkeypatch)
+        solve(weak)
+        assert walks == [weak.n] * weak_walks
+        walks.clear()
+        solve(STRONG_TREE)
+        assert walks == [9, 7][:strong_walks]
+
+    def test_tree_product_walks_each_factor_once(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        tree_product_swap(path_graph(5), path_graph(4))
+        assert walks == [5, 4]
+
+    def test_dd_m_tree_runs_no_dp_on_a_strong_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partition DP on a strong tree")
+
+        monkeypatch.setattr(tree_algorithms, "_weak_partition_dp", refuse)
+        assert dd_m_tree(STRONG_TREE).status == INFINITE
 
 
 def flag(t, key):
