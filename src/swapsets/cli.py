@@ -13,11 +13,13 @@ construction that failed its own check.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .exact_solver import BUDGET_EXCEEDED, dd_m_exact
 from .graph_core import (
@@ -77,9 +79,9 @@ def load_graph(token: str) -> Graph:
 def _dumps(obj, pad: str = "") -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, at C speed
     for the large payloads: lists of ints are joined in one step, and lists
-    of non-empty int lists (edges, matchings) come from the compact C
-    encoder and are re-indented by two replaces.  pad is the indent of the
-    line obj starts on."""
+    of int lists (edges, matchings) and of flat dicts (partition parts) are
+    laid out as one template of %d fields, filled in one % step.  pad is the
+    indent of the line obj starts on."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if type(obj) is int:
@@ -106,17 +108,56 @@ def _dumps(obj, pad: str = "") -> str:
     kinds = set(map(type, obj))
     if kinds == {int}:
         body = sep.join(map(int.__repr__, obj))
-    elif (kinds <= {list, tuple} and all(obj)
-          and set(map(type, chain.from_iterable(obj))) == {int}):
-        deeper = inner + "  "
-        body = ("[\n" + deeper
-                + json.dumps(obj, separators=(",", ":"))[2:-2]
-                .replace(",", ",\n" + deeper)
-                .replace("],\n" + deeper + "[", "\n" + inner + "]" + sep + "[\n" + deeper)
-                + "\n" + inner + "]")
+    elif kinds <= {list, tuple} and (shapes := _int_list_shapes(obj, inner)):
+        body = sep.join(map(shapes.__getitem__, map(len, obj))) % tuple(chain.from_iterable(obj))
+    elif kinds == {dict} and (fields := _flat_dicts(obj, inner)):
+        template, args = fields
+        body = template % tuple(args)
     else:
         body = sep.join(_dumps(value, inner) for value in obj)
     return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _int_list_shapes(lists, pad: str) -> dict | None:
+    """The %d template of each length among lists of ints printed at pad,
+    or None unless every item of every list is an int (bools and other int
+    subclasses print otherwise)."""
+    if not set(map(type, chain.from_iterable(lists))) <= {int}:
+        return None
+    deeper = pad + "  "
+    return {k: "[\n" + deeper + (",\n" + deeper).join(["%d"] * k) + "\n" + pad + "]"
+            if k else "[]" for k in set(map(len, lists))}
+
+
+def _flat_dicts(dicts, pad: str):
+    """(template, args) that print a list of dicts at pad when the dicts
+    share their str keys, in one order, and each value column holds ints
+    or lists of ints; else None.  Work is per column, not per value."""
+    keys = set(map(tuple, dicts))
+    if len(keys) != 1:
+        return None
+    (keys,) = keys
+    if not keys or not all(type(key) is str for key in keys):
+        return None
+    deeper = pad + "  "
+    columns, args = [], []
+    for key in sorted(keys):
+        column = list(map(itemgetter(key), dicts))
+        head = encode_basestring_ascii(key).replace("%", "%%") + ": "
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(repeat(head + "%d", len(column)))
+            args.append(zip(column))
+            continue
+        shapes = _int_list_shapes(column, deeper) if kinds <= {list, tuple} else None
+        if shapes is None:
+            return None
+        columns.append(map(head.__add__, map(shapes.__getitem__, map(len, column))))
+        args.append(column)
+    rows = map((",\n" + deeper).join, zip(*columns))
+    template = ("{\n" + deeper + ("\n" + pad + "},\n" + pad + "{\n" + deeper).join(rows)
+                + "\n" + pad + "}")
+    return template, chain.from_iterable(chain.from_iterable(zip(*args)))
 
 
 def _emit(obj) -> None:
@@ -348,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ACYCLIC_COMMANDS = ("tree", "construct", "verify", "report", "gamma-dp")
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -363,6 +407,12 @@ def run(argv: list[str]) -> int:
         "scan": _cmd_scan,
         "report": _cmd_report,
     }
+    # These commands make no cyclic garbage, so the collector's passes over
+    # their graphs would free nothing.  scan and compute keep it: they reach
+    # dominating_sets_lex, whose recursive closure leaves one cycle per call.
+    paused = args.command in _ACYCLIC_COMMANDS and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         for option in ("budget", "max_n", "max_mn"):
             if getattr(args, option, 1) <= 0:
@@ -379,6 +429,9 @@ def run(argv: list[str]) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if paused:
+            gc.enable()
 
 
 def main() -> None:

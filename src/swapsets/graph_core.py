@@ -302,15 +302,7 @@ def grid_graph(m: int, n: int) -> Graph:
     """Grid with m columns and n rows; cell (i, j), 1-based, has id (i-1)*n + (j-1)."""
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            v = i * n + j
-            if j + 1 < n:
-                edges.append((v, v + 1))
-            if i + 1 < m:
-                edges.append((v, v + n))
-    return Graph(m * n, edges)
+    return cartesian_product(path_graph(m), path_graph(n))
 
 
 def subdivided_doubled_triangle() -> Graph:

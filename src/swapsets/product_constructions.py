@@ -81,7 +81,7 @@ def star_product_swap(p: int, q: int) -> tuple[Graph, SwapCertificate]:
 
 def star_partition_order2(t: Graph) -> StarPartition:
     """Partition a non-trivial tree into induced stars of order >= 2."""
-    parent, _, order = _rooted(t)
+    parent, order = _rooted(t)
     if t.n < 2:
         raise ContractError("expected a non-trivial tree")
     return _star_parts(parent, order)

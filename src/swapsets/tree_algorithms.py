@@ -30,16 +30,13 @@ _INF = 10 ** 9
 
 
 def _rooted(t: Graph):
-    """(parent, children, order) for t rooted at vertex 0: the breadth-first
-    walk plus each vertex's children, ascending.  The walk is the tree
-    check: it must reach all n vertices over n - 1 edges."""
+    """(parent, order) for t rooted at vertex 0: the breadth-first walk,
+    which is also the tree check: it must reach all n vertices over n - 1
+    edges."""
     parent, order = bfs_tree(t)
     if len(order) != t.n or len(t.edges) != t.n - 1:
         raise ContractError("expected a tree")
-    children = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return parent, children, order
+    return parent, order
 
 
 # ---------------------------------------------------------------------------
@@ -104,33 +101,35 @@ class WeakReduction(_Frozen):
 
 
 def weak_reduction(t: Graph) -> WeakReduction:
-    """The weak reduction of a tree; a weak tree is its own reduction."""
-    return _reduce(t)[0]
-
-
-def _reduce(t: Graph):
-    """The weak reduction of a tree and the walk _rooted(t) that checked it,
-    which for a weak tree also roots its reduction."""
-    walk = _rooted(t)
-    degree = list(map(t.degree, range(t.n)))
-    kept_leaf = [-1] * t.n
-    removed = []
-    # leaves in ascending order, so each stem keeps its lowest-index leaf
-    for u in [u for u, d in enumerate(degree) if d == 1]:
-        (v,) = t.neighbors(u)
-        if kept_leaf[v] == -1:
-            kept_leaf[v] = u
-        else:
-            removed.append((v, u))
+    """The weak reduction of a tree, relabeled; a weak tree is its own
+    reduction."""
+    removed, _ = _reduce(t)
     if not removed:
-        return WeakReduction(t, (), tuple(range(t.n))), walk
+        return WeakReduction(t, (), tuple(range(t.n)))
     drop = {u for _, u in removed}
     keep = [v for v in range(t.n) if v not in drop]
     index = {v: i for i, v in enumerate(keep)}
     # t.edges are sorted and index keeps their order, so the reduced edges
     # arrive sorted
     edges = [(index[u], index[v]) for u, v in t.edges if u not in drop and v not in drop]
-    return WeakReduction(Graph(len(keep), edges), tuple(sorted(removed)), tuple(keep)), walk
+    return WeakReduction(Graph(len(keep), edges), removed, tuple(keep))
+
+
+def _reduce(t: Graph):
+    """The (stem, leaf) pairs the weak reduction strips from a tree, sorted,
+    and the walk _rooted(t) that checked it."""
+    walk = _rooted(t)
+    kept_leaf = [-1] * t.n
+    removed = []
+    # leaves in ascending order, so each stem keeps its lowest-index leaf
+    for u, nbrs in enumerate(map(t.neighbors, range(t.n))):
+        if len(nbrs) == 1:
+            (v,) = nbrs
+            if kept_leaf[v] == -1:
+                kept_leaf[v] = u
+            else:
+                removed.append((v, u))
+    return tuple(sorted(removed)), walk
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,9 @@ def _reduce(t: Graph):
 
 def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """Minimum-weight K1/K2 simple star partitioning of a weak non-trivial
-    tree, over its walk _rooted(t).
+    tree, over its walk (parent, order).  The tree is the one the walk
+    reaches, so an order without some of t's leaves solves t with those
+    leaves stripped.
 
     Returns (weight, parts).  Weight counts the K2 parts.  Ties break toward
     pairing with the parent, then toward the lower-index child partner.
@@ -156,15 +157,17 @@ def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, 
     child's state from them with the tie rules of the forward pass.
     """
     n = t.n
-    parent, children, order = walk
-    # stem_leaf[v]: v's only leaf neighbour, which its part must be a K2 with
+    parent, order = walk
+    children = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    root = order[0]
+    # stem_leaf[v]: v's only leaf neighbour, which its part must be a K2
+    # with.  The root is a leaf when it has one child; every other leaf
+    # reaches its stem on the way up, before the stem is solved.
     stem_leaf = [-1] * n
-    for u, nbrs in enumerate(map(t.neighbors, range(n))):
-        if len(nbrs) == 1:
-            (v,) = nbrs
-            if stem_leaf[v] != -1:
-                raise ContractError("partition DP requires a weak tree")
-            stem_leaf[v] = u
+    if len(children[root]) == 1:
+        stem_leaf[children[root][0]] = root
 
     cost_p, cost_c, cost_k0, cost_k1 = ([_INF] * n for _ in range(4))
     best = [_INF] * n
@@ -178,6 +181,9 @@ def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, 
             # only pair with its parent
             if f == -1 or f == parent[v]:
                 cost_p[v] = 0
+            if stem_leaf[parent[v]] != -1:
+                raise ContractError("partition DP requires a weak tree")
+            stem_leaf[parent[v]] = v
             continue
         base = sum(map(best.__getitem__, cs))
         # state P: pair with parent; children settle on C/K0/K1
@@ -214,7 +220,6 @@ def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, 
                     cost_k0[v] = total
         best[v] = min(cost_c[v], cost_k0[v], cost_k1[v])
 
-    root = order[0]
     if min(cost_c[root], cost_k0[root]) >= _INF:
         raise ConstructionError("no simple star partitioning found on a weak tree")
     root_c = cost_c[root] <= cost_k0[root]
@@ -242,39 +247,9 @@ def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, 
     return (cost_c[root] if root_c else cost_k0[root]), parts
 
 
-def _min_partition(red: WeakReduction, walk) -> tuple[int, StarPartition]:
-    """(S(T'), a minimum simple star partitioning of T) for the weak
-    reduction T' of a non-trivial tree T, with walk _rooted(T'): the DP
-    solves T', then each stripped leaf rejoins its stem's part (the stem
-    becomes the center of a bigger star) and adds exactly 1 to the weight."""
-    w_red, parts_red = _weak_partition_dp(red.reduced, walk)
-    emb = red.embedding
-    extra: dict[int, list[int]] = {}
-    for stem, leaf in red.removed:
-        extra.setdefault(stem, []).append(leaf)
-    raw = []
-    for c, leaves in parts_red:
-        members = [emb[c]] + [emb[x] for x in leaves]
-        stems = [v for v in members if v in extra]
-        if stems:
-            (stem,) = stems  # a strong stem always pairs with its kept leaf
-            raw.append((stem, [v for v in members if v != stem] + extra[stem]))
-        else:
-            raw.append((members[0], members[1:]))
-    partition = StarPartition.build(raw)
-    if partition.weight != w_red + len(red.removed):
-        raise ConstructionError("re-expanded partition weight differs from S(T)")
-    return w_red, partition
-
-
 def s_weight(t: Graph) -> tuple[int, StarPartition]:
     """Exact minimum weight of a simple star partitioning, with a witness:
-    the partition analyse_tree computes.
-
-    Strong stems are handled by reduction: strip all but one leaf per strong
-    stem, solve the weak remainder by DP, then re-expand each stripped leaf
-    into its stem's part.
-    """
+    the partition analyse_tree computes."""
     partition = analyse_tree(t).partition
     return partition.weight, partition
 
@@ -294,10 +269,10 @@ def _label_partition(t: Graph, p: StarPartition, walk) -> SwapCertificate:
     and is still unlabeled; u hands the labels it lacks, D before D', to
     those children in ascending order.  The partition conditions give u two
     such neighbor parts, so no label is ever revisited.  The partition is
-    unchecked: callers pass the K1/K2 partition that _min_partition builds
-    for a weak tree.
+    unchecked: callers pass the K1/K2 partition that the DP builds for a
+    weak tree.
     """
-    parent, children, order = walk
+    parent, order = walk
     mate = [-1] * t.n
     for c, leaves in p.parts:
         if leaves:
@@ -314,8 +289,10 @@ def _label_partition(t: Graph, p: StarPartition, walk) -> SwapCertificate:
         pu = parent[u]
         if pu != -1 and mate[pu] != -1:
             lacking.remove(in_d[pu])
-        for c in children[u]:
-            if lacking and mate[c] != -1:
+        # in a tree walked breadth-first, u's children are its neighbors
+        # other than its parent, ascending
+        for c in t.neighbors(u):
+            if lacking and c != pu and mate[c] != -1:
                 side = lacking.pop(0)
                 in_d[c], in_d[mate[c]] = side, not side
 
@@ -327,38 +304,39 @@ def _label_partition(t: Graph, p: StarPartition, walk) -> SwapCertificate:
 def dd_m_tree(t: Graph) -> DdmResult:
     """Swap number of a non-trivial tree: infinite iff the tree is strong,
     otherwise S(t) with a certificate built from a minimum partition."""
-    red, walk = _reduce(t)
+    removed, walk = _reduce(t)
     # a strong stem has two leaves, so a strong tree is non-trivial
-    return DdmResult(INFINITE) if red.removed else _analysis(t, red, walk).result
+    return DdmResult(INFINITE) if removed else _analysis(t, removed, walk).result
 
 
 class TreeAnalysis(_Frozen):
     """Everything `swapsets tree` reports about a non-trivial tree, from one
-    weak reduction and one partition DP.  The walk that checks the tree
-    also roots it for the DP and the labeling; a strong tree's reduction is
-    a relabeled tree and gets a walk of its own."""
+    walk and one partition DP: the walk that checks the tree also roots it
+    for the DP, which solves the weak reduction in place, and for the
+    labeling."""
 
-    __slots__ = ("n", "reduction", "reduced_weight", "partition", "result",
+    __slots__ = ("n", "removed", "reduced_weight", "partition", "result",
                  "four_way_equality")
 
-    def __init__(self, n: int, reduction: WeakReduction,
+    def __init__(self, n: int,
+                 removed: tuple[tuple[int, int], ...],  # the (stem, leaf) pairs stripped
                  reduced_weight: int,  # S(T') of the weak reduction T'
                  partition: StarPartition,  # a minimum simple star partitioning of T
                  result: DdmResult, four_way_equality: bool):
-        self._set(n, reduction, reduced_weight, partition, result, four_way_equality)
+        self._set(n, removed, reduced_weight, partition, result, four_way_equality)
 
     def to_json_dict(self) -> dict:
-        weak = not self.reduction.removed
+        weak = not self.removed
         return {
             "n": self.n,
             "is_weak": weak,
             "s_weight": self.partition.weight,
             "partition": self.partition.to_json_dict(),
-            "reduction_removed": len(self.reduction.removed),
+            "reduction_removed": len(self.removed),
             "result": self.result.to_json_dict(),
             "gamma_equals_alpha": self.four_way_equality,
             "alpha_equals_swap_number": weak and 2 * self.partition.weight == self.n,
-            "alpha_equals_eviction": 2 * self.reduced_weight == self.reduction.reduced.n,
+            "alpha_equals_eviction": 2 * self.reduced_weight == self.n - len(self.removed),
         }
 
 
@@ -373,20 +351,39 @@ def analyse_tree(t: Graph) -> TreeAnalysis:
     return _analysis(t, *_reduce(t))
 
 
-def _analysis(t: Graph, red: WeakReduction, walk) -> TreeAnalysis:
-    """analyse_tree on t, its weak reduction red and its walk _rooted(t)."""
+def _analysis(t: Graph, removed, walk) -> TreeAnalysis:
+    """analyse_tree on t, the (stem, leaf) pairs its weak reduction T'
+    strips and its walk _rooted(t).  The DP solves T' in place, on the walk
+    without the stripped leaves; then each stripped leaf rejoins its stem's
+    part (the stem becomes the center of a bigger star) and adds 1 to the
+    weight."""
     if t.n < 2:
         raise ContractError("expected a non-trivial tree")
-    if red.removed:
-        # the reduced tree is a relabeled Graph, so it needs its own walk
-        w_red, partition = _min_partition(red, _rooted(red.reduced))
-        return TreeAnalysis(t.n, red, w_red, partition, DdmResult(INFINITE), False)
-    w_red, partition = _min_partition(red, walk)
+    extra: dict[int, list[int]] = {}
+    for stem, leaf in removed:
+        extra.setdefault(stem, []).append(leaf)
+    drop = {leaf for _, leaf in removed}
+    parent, order = walk
+    w_red, parts = _weak_partition_dp(t, (parent, [v for v in order if v not in drop]))
+    by_center = [None] * t.n
+    for part in parts:
+        c, leaves = part
+        # a strong stem pairs with its kept leaf, the lowest of its leaves
+        if c in extra:
+            part = (c, (*leaves, *extra[c]))
+        elif leaves and leaves[0] in extra:
+            part = (leaves[0], (c, *extra[leaves[0]]))
+        by_center[part[0]] = part
+    partition = StarPartition(tuple(filter(None, by_center)), t.n - len(parts))
+    if partition.weight != w_red + len(removed):
+        raise ConstructionError("re-expanded partition weight differs from S(T)")
+    if removed:
+        return TreeAnalysis(t.n, removed, w_red, partition, DdmResult(INFINITE), False)
     cert = certified(t, _label_partition(t, partition, walk))
     if cert.size() != partition.weight:
         raise ConstructionError("tree certificate size differs from S(T)")
     hat = t.n == 2 or 2 * list(map(t.degree, range(t.n))).count(1) == t.n
-    return TreeAnalysis(t.n, red, w_red, partition, finite_result(cert), hat)
+    return TreeAnalysis(t.n, (), w_red, partition, finite_result(cert), hat)
 
 
 # ---------------------------------------------------------------------------

@@ -518,7 +518,10 @@ def weak_partition_dp_oracle(t: Graph):
     assignment dict of the children's states for every state.  Returns the
     same (weight, parts), ties broken the same way."""
     n = t.n
-    parent, children, order = _rooted(t)
+    parent, order = _rooted(t)
+    children = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
     forced: dict[int, tuple] = {}
     for v in range(n):
         leaves = [u for u in t.neighbors(v) if t.degree(u) == 1]

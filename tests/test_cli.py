@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -219,10 +220,27 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(_TEXT, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            {key: _INTS | st.lists(_INTS, max_size=3) | st.booleans() | st.none()
+             for key in keys}), min_size=1, max_size=5)))
+    def test_lists_of_flat_dicts(self, value):
+        # the partition parts' shape: dicts sharing their keys, int or int
+        # list values, with the odd value that must leave the bulk path
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
     @pytest.mark.parametrize("value", [
         {}, [], (), [[]], [[1, 2], []], [[1], [2, 3]], [(0, 1), (1, 2)], [[[1]]],
         [1, [2]], [[1], 2], [True, 1], [[True, 1]], [[1.0]], {1: 2, 10: 3, 2: 4},
         {True: 0}, {None: 0}, {1.5: 0}, float("nan"), float("-inf"), 10 ** 30,
+        [[-1, 2], [3, -(10 ** 30)]], [[10 ** 30, 0]], [[0, 1], (2, 3), [4, 5]],
+        [[1, 2], [3, 4, 5], [6], []], [(1, 2, 3), [4, 5, 6]], [[1, True]], [[1, 2], [3.0, 4]],
+        [{"center": 0, "leaves": [1, 2]}, {"center": 3, "leaves": []}],
+        [{"b": -1, "a": 10 ** 30}, {"b": 2, "a": 3}], [{"a": [], "b": [1]}, {"a": [2, 3], "b": []}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": True}],
+        [{"a": [1]}, {"a": [False]}], [{"a": 1}, {}], [{}, {}], [{"a": "%d"}], [{"%d": 1}],
+        [{"a\u00e9": [1, 2]}], [{1: 2}, {1: 3}], [{"a": [[1]]}], [{"a": (1, 2)}],
     ])
     def test_edge_cases(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
@@ -325,9 +343,9 @@ class TestTree:
         walks = count_walks(monkeypatch)
         code, obj = run_json(capsys, "tree", str(path))
         assert code == 0
-        # the walk that checks the tree roots it; only a strong tree's
-        # relabelled reduction is walked again
-        assert len(walks) == (1 if weak else 2) and walks[0] == t.n
+        # the walk that checks the tree roots it, and a strong tree's weak
+        # reduction is solved on that walk
+        assert walks == [t.n]
         assert reductions == [1]
         assert obj == expected
 
@@ -573,6 +591,82 @@ class TestTwoCores:
         assert captured.out == ""
         assert captured.err == "error: exact solver missed the constructed pair\n"
         assert_no_child_left()
+
+
+class TestCollector:
+    """tree, construct, verify, report and gamma-dp run with the cycle
+    collector off, since they make no cyclic garbage; scan and compute
+    reach dominating_sets_lex, whose recursive closure leaves one cycle
+    per call, so they keep it.  run() hands the caller's setting back."""
+
+    @pytest.mark.parametrize("argv", [("tree", "p6"), ("tree", "c5"), ("compute", "p4")])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_callers_setting_is_restored(self, capsys, argv, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _ = run_cli(capsys, *argv)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == (2 if argv[1] == "c5" else 0)
+
+    @pytest.mark.parametrize("command,on", [
+        ("tree", False), ("construct", False), ("verify", False), ("report", False),
+        ("gamma-dp", False), ("scan", True), ("compute", True),
+    ])
+    def test_collector_during_each_command(self, capsys, monkeypatch, tmp_path,
+                                           command, on):
+        argv = {
+            "tree": ["tree", "p6"],
+            "construct": ["construct", "star-product", "2", "2"],
+            "verify": ["verify", "p2", str(tmp_path / "c.json")],
+            "report": ["report", "grid", "--max-mn", "8"],
+            "gamma-dp": ["gamma-dp", "2", "2"],
+            "scan": ["scan", "alpha2", "--max-n", "4"],
+            "compute": ["compute", "p4"],
+        }[command]
+        (tmp_path / "c.json").write_text('{"d": [0], "d_prime": [1], "matching": [[0, 1]]}')
+        seen = []
+        monkeypatch.setattr(sys.stdout, "write", lambda text: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        assert run(argv) == 0
+        monkeypatch.undo()
+        assert seen and set(seen) == {on}
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("small,large", [
+        (["tree", "{tree200}"], ["tree", "{tree2000}"]),
+        (["construct", "grid", "10", "10"], ["construct", "grid", "40", "40"]),
+        (["construct", "product", "{tree200}", "c4"], ["construct", "product", "{tree2000}", "c4"]),
+        (["construct", "p3-strip", "5"], ["construct", "p3-strip", "50"]),
+        (["verify", "{grid10}", "{cert10}"], ["verify", "{grid40}", "{cert40}"]),
+        (["report", "grid", "--max-mn", "9"], ["report", "grid", "--max-mn", "12"]),
+        (["gamma-dp", "3", "5"], ["gamma-dp", "3", "50"]),
+    ])
+    def test_no_cyclic_garbage_grows_with_the_input(self, capsys, tmp_path, small, large):
+        for n in (200, 2000):
+            (tmp_path / f"tree{n}").write_text(format_graph(_random_tree(n, False)))
+        for side in (10, 40):
+            assert run(["construct", "grid", str(side), str(side),
+                        "--graph-out", str(tmp_path / f"grid{side}"),
+                        "--cert-out", str(tmp_path / f"cert{side}")]) == 0
+        capsys.readouterr()
+        names = {name: str(tmp_path / name) for name in
+                 ("tree200", "tree2000", "grid10", "cert10", "grid40", "cert40")}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            counts = []
+            for argv in (small, large):
+                gc.collect()
+                assert run([a.format(**names) for a in argv]) == 0
+                capsys.readouterr()
+                counts.append(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        assert counts[0] == counts[1]
 
 
 class TestBenchmarkReference:

@@ -265,3 +265,34 @@ def test_the_rooted_walk_is_the_tree_check():
                         and id(node) not in allowed):
                     found.append(f"{name}:{node.lineno} {called}")
     assert not found, found
+
+
+def _calls_outside(path: Path, names: set[str], allowed_functions: set[str]) -> list[str]:
+    """Calls of any of names (`f` or `module.f`) in path that lie outside
+    the top-level functions allowed_functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(n) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in allowed_functions
+               for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            called = (f"{func.value.id}.{func.attr}" if isinstance(func, ast.Attribute)
+                      and isinstance(func.value, ast.Name) else getattr(func, "id", None))
+            if called in names:
+                found.append(f"{path.name}:{node.lineno} {called}")
+    return found
+
+
+def test_collector_switched_only_by_the_cli_and_trees_built_in_two_places():
+    """The cycle collector is paused and resumed only in `cli.run`, which
+    hands the caller's setting back.  `tree_algorithms` solves trees in
+    place: it builds a `Graph` only in `weak_reduction` and `hat_graph`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found += _calls_outside(path, {"gc.disable", "gc.enable"},
+                                {"run"} if path.name == "cli.py" else set())
+    found += _calls_outside(PACKAGE_DIR / "tree_algorithms.py", {"Graph"},
+                            {"weak_reduction", "hat_graph"})
+    assert not found, found

@@ -9,6 +9,7 @@ from helpers import (
     brute_gamma,
     enumerate_trees,
     part_not_a_star_oracle,
+    prufer_tree,
     star_partition_weight_oracle,
     tree_canonical_key,
     validate_star_partition,
@@ -16,6 +17,7 @@ from helpers import (
 )
 from swapsets import (
     ContractError,
+    DdmResult,
     FINITE,
     Graph,
     INFINITE,
@@ -207,6 +209,68 @@ class TestPartitionDpOracle:
                                         for v in range(1, 3000)]))
 
 
+def reduce_then_solve(t):
+    """The `tree` payload of t built the long way: relabel its weak
+    reduction T' into a Graph of its own, solve T' as the weak tree it is,
+    then map the parts back through the embedding and hand each stem its
+    stripped leaves."""
+    red = weak_reduction(t)
+    solved = analyse_tree(red.reduced)
+    extra = {}
+    for stem, leaf in red.removed:
+        extra.setdefault(stem, []).append(leaf)
+    raw = []
+    for c, leaves in solved.partition.parts:
+        members = [red.embedding[v] for v in (c, *leaves)]
+        stem = next((v for v in members if v in extra), members[0])
+        raw.append((stem, [v for v in members if v != stem] + extra.get(stem, [])))
+    partition = StarPartition.build(raw)
+    weak = not red.removed
+    return partition, {
+        "n": t.n,
+        "is_weak": weak,
+        "s_weight": partition.weight,
+        "partition": partition.to_json_dict(),
+        "reduction_removed": len(red.removed),
+        "result": (solved.result if weak else DdmResult(INFINITE)).to_json_dict(),
+        "gamma_equals_alpha": weak and solved.four_way_equality,
+        "alpha_equals_swap_number": weak and 2 * partition.weight == t.n,
+        "alpha_equals_eviction": 2 * solved.partition.weight == red.reduced.n,
+    }
+
+
+class TestInPlaceReduction:
+    """analyse_tree solves a strong tree's weak reduction on the tree
+    itself; it must give what relabelling and solving the reduction gives."""
+
+    @staticmethod
+    def assert_agrees(t):
+        partition, payload = reduce_then_solve(t)
+        got = analyse_tree(t)
+        assert got.partition == partition
+        assert got.partition.weight == partition.weight == s_weight(t)[0]
+        assert got.to_json_dict() == payload
+
+    def test_all_small_trees(self):
+        for n in range(2, 13):
+            for t in enumerate_trees(n):
+                self.assert_agrees(t)
+
+    def test_stars_centred_anywhere(self):
+        for k in range(2, 7):
+            for centre in range(k + 1):
+                edges = [(min(centre, v), max(centre, v)) for v in range(k + 1) if v != centre]
+                t = Graph(k + 1, edges)
+                self.assert_agrees(t)
+                assert analyse_tree(t).partition.parts == (
+                    (centre, tuple(v for v in range(k + 1) if v != centre)),)
+
+    def test_seeded_pruefer_trees(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            self.assert_agrees(prufer_tree(rng.randint(2, 2000), rng))
+
+
 class TestStarPartitionShape:
     def test_validator_catches_overlap(self):
         t = path_graph(4)
@@ -362,13 +426,13 @@ STRONG_TREE = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), 
 
 class TestOneWalkPerTree:
     """The walk that checks a tree also roots it for the partition DP and
-    the labelling; a strong tree's reduction is a relabelled tree and gets
-    one walk of its own, except in dd_m_tree, which stops at the reduction."""
+    the labelling; a strong tree's weak reduction is solved in place, on
+    the same walk."""
 
     @pytest.mark.parametrize("solve,weak_walks,strong_walks", [
-        (analyse_tree, 1, 2),
+        (analyse_tree, 1, 1),
         (dd_m_tree, 1, 1),
-        (s_weight, 1, 2),
+        (s_weight, 1, 1),
     ])
     def test_walks_per_call(self, monkeypatch, solve, weak_walks, strong_walks):
         weak = hat_graph(path_graph(40))
@@ -378,6 +442,21 @@ class TestOneWalkPerTree:
         walks.clear()
         solve(STRONG_TREE)
         assert walks == [9, 7][:strong_walks]
+
+    @pytest.mark.parametrize("solve", [analyse_tree, s_weight])
+    def test_strong_tree_builds_no_graph(self, monkeypatch, solve):
+        t = prufer_tree(300, random.Random(5))
+        assert not is_weak_tree(t)
+        built = []
+        real = Graph.__init__
+
+        def counted(self, n, edges):
+            built.append(n)
+            real(self, n, edges)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        solve(t)
+        assert built == []
 
     def test_tree_product_walks_each_factor_once(self, monkeypatch):
         walks = count_walks(monkeypatch)

@@ -19,6 +19,7 @@ from swapsets import (
     dd_m_exact,
     path_graph,
     star_product_layout,
+    weak_reduction,
 )
 from swapsets.grid_constructions import GridDensityRow, GridSpec
 from swapsets.product_constructions import ProductScanRow
@@ -51,7 +52,7 @@ FROZEN = [
     pytest.param(lambda: _analysis().result.certificate, "d", id="SwapCertificate"),
     pytest.param(lambda: _analysis().result, "k", id="DdmResult"),
     pytest.param(lambda: _analysis().partition, "weight", id="StarPartition"),
-    pytest.param(lambda: _analysis().reduction, "reduced", id="WeakReduction"),
+    pytest.param(lambda: weak_reduction(path_graph(4)), "reduced", id="WeakReduction"),
     pytest.param(_analysis, "n", id="TreeAnalysis"),
     pytest.param(lambda: GridSpec(3, 2), "m", id="GridSpec"),
     pytest.param(lambda: TokenBoard(3, 2, frozenset({(1, 1)}), frozenset()), "black",
