@@ -233,19 +233,28 @@ def _pair_below_verdict(product: Graph, bound: int, question: str):
 def product_question_scan(max_vertices: int) -> ProductScanReport:
     """Test both conjectured lower bounds for DD_m of products, exhaustively
     over unordered pairs of connected non-trivial factors with
-    |V(g)| * |V(h)| <= max_vertices.
+    |V(g)| * |V(h)| <= max_vertices and at most MAX_CENSUS_N = 8 vertices
+    each.  The factors come from the census, which stops at 8 vertices, so
+    from max_vertices = 18 on pairs such as K2 x G with |V(G)| = 9 are left
+    out.
 
     The gamma*gamma verdict is always exact: a violation needs a swap pair
-    smaller than gamma(g)*gamma(h), and the bounded search below that value
-    is certified either way.  Exact DD_m of the product is tabulated when the
-    product has at most EXACT_PRODUCT_N vertices; above that the table shows
-    a bracket [known lower .. construction size].  The min-expression verdict
-    degrades to "unknown" only if its bounded search runs out of budget.
+    smaller than gamma(g)*gamma(h), which the projection bound rules out
+    when a factor has gamma 1, and otherwise the bounded search below that
+    value is certified either way.  Exact DD_m of the product is tabulated
+    when the product has at most EXACT_PRODUCT_N vertices; above that the
+    table shows a bracket [known lower .. construction size].  The
+    min-expression verdict degrades to "unknown" only if its bounded search
+    runs out of budget.
+
+    All pairs go through _product_row in one _split_map.  A factor's gamma
+    and swap number are computed only when a row reads them (see
+    _product_row), and each row returns its factors' gamma, so the report
+    is built from the returned values alone.
     """
-    from .small_alpha import MAX_CENSUS_N, CensusRecord, census
+    from .small_alpha import MAX_CENSUS_N, census
 
     factors = [r for r in census(min(max_vertices // 2, MAX_CENSUS_N)) if r.n >= 2]
-    CensusRecord.fill(factors, ("gamma", "ddm"))
     pairs = []
     for i, a in enumerate(factors):
         for b in factors[i:]:
@@ -253,32 +262,47 @@ def product_question_scan(max_vertices: int) -> ProductScanReport:
                 break  # the census is ordered by n, so every later h is larger
             pairs.append((a, b))
     report = ProductScanReport(max_vertices)
-    for (a, b), (ddm_cell, min_text, violation, cert) in zip(
+    for (a, b), (gamma_g, gamma_h, ddm_cell, min_text, violation, cert) in zip(
             pairs, _split_map(_product_row, pairs)):
         if cert is not None:
             report.counterexamples.append({
                 "g_id": a.graph_id, "h_id": b.graph_id, "question": violation,
-                "ddm_product": ddm_cell, "gamma_g": a.gamma, "gamma_h": b.gamma,
+                "ddm_product": ddm_cell, "gamma_g": gamma_g, "gamma_h": gamma_h,
                 "min_expr": min_text, "certificate": cert,
             })
         report.rows.append(ProductScanRow(
-            a.graph_id, b.graph_id, ddm_cell, a.gamma, b.gamma, min_text, violation))
+            a.graph_id, b.graph_id, ddm_cell, gamma_g, gamma_h, min_text, violation))
     return report
 
 
-def _product_row(pair) -> tuple[str, str, str, dict | None]:
-    """One pair of product_question_scan as plain data: the DD_m cell, the
-    min-expression text, the verdict, and the counterexample certificate's
-    JSON object when the verdict is "gg" or "min", else None."""
+def _product_row(pair) -> tuple[int, int, str, str, str, dict | None]:
+    """One pair (a, b) of product_question_scan, a no larger than b, as
+    plain data: gamma(g), gamma(h), the DD_m cell, the min-expression text,
+    the verdict, and the counterexample certificate's JSON object when the
+    verdict is "gg" or "min", else None.
+
+    A graph with a swap pair has DD_m >= gamma, since each side dominates.
+    So DD_m(g) = gamma(g) makes DD_m(g) gamma(h) = gamma(g) gamma(h) <=
+    gamma(g) DD_m(h), and min_expr = gamma(g) gamma(h) with DD_m(h) unread;
+    the same holds the other way round.  DD_m(g), of the smaller factor, is
+    read first, DD_m(h) only when DD_m(g) != gamma(g), and the full formula
+    is used only when both differ.
+
+    Projecting a dominating set of g x h onto g dominates g, so
+    gamma(g x h) >= max(gamma(g), gamma(h)), which is gamma(g) gamma(h)
+    when either factor has gamma 1; only when both have gamma >= 2 is the
+    product searched for a dominating set below gamma(g) gamma(h).
+    """
     a, b = pair
-    g, h = a.graph, b.graph
-    gamma_g, ddm_g = a.gamma, _as_number(a.ddm)
-    gamma_h, ddm_h = b.gamma, _as_number(b.ddm)
-    product, cert = product_swap_general(g, h)
-    upper = cert.size()
+    gamma_g, gamma_h = a.gamma, b.gamma
     gg = gamma_g * gamma_h
-    min_expr = min(ddm_g * gamma_h, gamma_g * ddm_h)
+    if a.ddm == gamma_g or b.ddm == gamma_h:
+        min_expr = gg
+    else:
+        min_expr = min(_as_number(a.ddm) * gamma_h, gamma_g * _as_number(b.ddm))
     min_text = "infinity" if min_expr == math.inf else str(min_expr)
+    product, cert = product_swap_general(a.graph, b.graph)
+    upper = cert.size()
     ddm_cell: str
     violation = "none"
     counterexample_cert = None
@@ -294,7 +318,7 @@ def _product_row(pair) -> tuple[str, str, str, dict | None]:
         counterexample_cert = res.certificate
     else:
         lo = gg
-        if has_dominating_set(product, gg - 1):
+        if min(gamma_g, gamma_h) > 1 and has_dominating_set(product, gg - 1):
             # the domination number alone no longer rules a pair out
             lo = domination_number(product)
             violation, counterexample_cert = _pair_below_verdict(product, gg, "gg")
@@ -308,5 +332,5 @@ def _product_row(pair) -> tuple[str, str, str, dict | None]:
                 violation, counterexample_cert = _pair_below_verdict(
                     product, min_expr, "min")
     if violation not in ("gg", "min"):
-        return ddm_cell, min_text, violation, None
-    return ddm_cell, min_text, violation, counterexample_cert.to_json_dict()
+        return gamma_g, gamma_h, ddm_cell, min_text, violation, None
+    return gamma_g, gamma_h, ddm_cell, min_text, violation, counterexample_cert.to_json_dict()

@@ -669,18 +669,24 @@ class TestCollector:
         assert counts[0] == counts[1]
 
 
+def run_module(argv, cwd=None):
+    """The finished `python -m swapsets.cli` process, run from this source
+    tree with PYTHONHASHSEED=0."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, "-m", "swapsets.cli", *argv],
+                          capture_output=True, env=env, cwd=cwd, timeout=120)
+
+
 class TestBenchmarkReference:
     # the seed-independent items of perfbench, run as the benchmark runs
     # them; their stdout digests and exit codes are read from its reference
 
     @staticmethod
     def check(name, argv, cwd=None):
-        root = Path(__file__).resolve().parents[1]
-        reference = root / "perfbench" / "reference.json"
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         expected = json.loads(reference.read_text(encoding="utf-8"))[name]
-        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(root / "src")}
-        proc = subprocess.run([sys.executable, "-m", "swapsets.cli", *argv],
-                              capture_output=True, env=env, cwd=cwd, timeout=120)
+        proc = run_module(argv, cwd)
         assert proc.returncode == expected["exit"], proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
 
@@ -698,6 +704,21 @@ class TestBenchmarkReference:
         self.check("grid-200-files", ["construct", "grid", "200", "200", "--graph-out",
                                       "grid.txt", "--cert-out", "grid-cert.json"], tmp_path)
         self.check("verify-grid-200", ["verify", "grid.txt", "grid-cert.json"], tmp_path)
+
+
+class TestProductScanDigests:
+    # stdout digests of the product scan beyond the benchmark's --max-n 15,
+    # where the factors reach the census's 8 vertices, recorded while the
+    # scan still computed every factor's swap number
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--format", "tsv"], "6a6f10eb48be4aa27a8135812018dbae293a3eb88bc443cb2e629ba33267fae3"),
+        ([], "fb8d09e95646ca4ce5b14337d4425316c3038f5801a68fa4c6f98f1f1282400e"),
+    ], ids=["tsv", "json"])
+    def test_max_n_18_matches_recorded_digest(self, argv, sha256):
+        proc = run_module(["scan", "products", "--max-n", "18", *argv])
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == sha256
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from swapsets import (
     cycle_graph,
     dd_m_exact,
     domination_number,
+    has_dominating_set,
     path_graph,
     product_question_scan,
     product_swap_general,
@@ -25,9 +28,10 @@ from swapsets import (
     tree_product_swap,
     verify_certificate,
 )
-from swapsets import small_alpha
+from swapsets import product_constructions, small_alpha
 from swapsets.cli import _dumps
 from swapsets.product_constructions import partition_stats
+from test_graph_core import random_graphs
 from test_tree_algorithms import count_walks, random_trees, spider
 
 
@@ -255,6 +259,62 @@ class TestProductQuestionScan:
         for row in report.rows:
             if row.ddm_product.isdigit():
                 assert int(row.ddm_product) >= max(row.gamma_g, row.gamma_h)
+
+
+class TestSolvesOnlyWhatItPrints:
+    """A row reads a factor's swap number only when min_expr depends on it,
+    and searches the product for a dominating set below gamma(g) gamma(h)
+    only when both factors have gamma >= 2, which the projection bound
+    gamma(g x h) >= max(gamma(g), gamma(h)) makes safe."""
+
+    def test_call_counts_and_min_expr(self, monkeypatch):
+        # fresh census records, so no gamma or swap number is cached yet,
+        # and a serial map, so every call is made in this process
+        monkeypatch.setattr(small_alpha, "_classes",
+                            lru_cache(maxsize=None)(small_alpha._classes.__wrapped__))
+        factors = [r for r in small_alpha.census(7) if r.n >= 2]
+        monkeypatch.setattr(product_constructions, "_split_map",
+                            lambda fn, items: list(map(fn, items)))
+        calls = {"dd_m_exact": 0, "has_dominating_set": 0, "domination_number": 0}
+        for module in (product_constructions, small_alpha):
+            for name in calls:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _real=getattr(module, name)):
+                        calls[_name] += 1
+                        return _real(*args)
+                    monkeypatch.setattr(module, name, counted)
+        report = product_question_scan(15)
+        # gamma once for each of the 995 factors; the 157 products of at
+        # most 12 vertices solved exactly, and only 30 factors' swap numbers
+        # read; no search below gamma(g) gamma(h), as every pair at this
+        # scope has a factor with gamma 1, and 5 below min_expr
+        assert len(factors) == 995 and len(report.rows) == 1052
+        assert calls == {"dd_m_exact": 187, "has_dominating_set": 5,
+                         "domination_number": 995}
+        small_alpha.CensusRecord.fill(factors, ("gamma", "ddm"))
+        by_id = {r.graph_id: r for r in factors}
+        for row in report.rows:
+            a, b = by_id[row.g_id], by_id[row.h_id]
+            ddm_g, ddm_h = (math.inf if r.ddm == "infinity" else r.ddm for r in (a, b))
+            eager = min(ddm_g * b.gamma, a.gamma * ddm_h)
+            assert (row.gamma_g, row.gamma_h) == (a.gamma, b.gamma)
+            assert row.min_expr == ("infinity" if eager == math.inf else str(eager))
+
+    def test_projection_bound_on_every_pair_with_a_gamma_one_factor(self):
+        graphs = {r.graph_id: r.graph for r in small_alpha.census(8)}
+        checked = 0
+        for row in product_question_scan(18).rows:
+            if min(row.gamma_g, row.gamma_h) == 1:
+                product = cartesian_product(graphs[row.g_id], graphs[row.h_id])
+                assert not has_dominating_set(product, row.gamma_g * row.gamma_h - 1)
+                checked += 1
+        assert checked == 12411  # of 12,414 pairs
+
+    @settings(derandomize=True, max_examples=60)
+    @given(random_graphs(max_n=6), random_graphs(max_n=6))
+    def test_projection_bound(self, g, h):
+        bound = max(domination_number(g), domination_number(h))
+        assert not has_dominating_set(cartesian_product(g, h), bound - 1)
 
 
 # the two 6-vertex factors of the max-question counterexamples
