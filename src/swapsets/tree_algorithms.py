@@ -2,10 +2,10 @@
 
 The minimum weight S(T) of a simple star partitioning of a non-trivial tree
 equals the tree's swap number whenever the tree is weak (no vertex has two or
-more leaf neighbors), and a minimum partition converts into a swap
-certificate in one top-down pass over the breadth-first order: each K1
-center hands the labels it still lacks to the K2 parts of its children, and
-every other K2 part puts its lower endpoint in D.  The DP, the labeling and
+more leaf neighbors).  One bottom-up pass of a three-state DP finds a minimum
+K1/K2 partition, and its top-down traceback labels it as a swap certificate:
+each K1 center hands the labels it still lacks to the K2 parts of its
+children, and every other K2 part puts its lower endpoint in D.  The DP and
 the check of the certificate are each linear in the tree.  Strong trees have
 no swap pair, but S(T) still makes sense and reduces leaf-by-leaf to the weak
 reduction: each stripped leaf adds one to the weight and rejoins its stem's
@@ -135,26 +135,34 @@ def _reduce(t: Graph):
 # ---------------------------------------------------------------------------
 # S(T) dynamic program on weak trees
 
-# Per-vertex states for the K1/K2-only partition DP:
-#   P  - in a K2 part with its parent (the pair's weight charged at the parent)
-#   C  - in a K2 part with one child
-#   K0 - a K1 part already adjacent to >= 2 non-K1 child parts
-#   K1 - a K1 part adjacent to exactly 1 so far; the parent's part must be a K2
-# A K1 part with no non-K1 child parts can never be rescued by its single
-# parent, so that configuration is simply infeasible.
+# Per-vertex states of the K1/K2-only partition DP:
+#   P - in a K2 part with its parent (the pair's weight charged at the parent)
+#   C - in a K2 part with one child
+#   K - a K1 part; it needs neighbors in two K2 parts, so two C children
+#       under a K parent or at the root, and one under a P or C parent
+# A leaf's only feasible state is P, so _INF costs alone force a stem into
+# C with its one leaf and leave a stem with two leaves no feasible state.
 
-def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, ...]]],
+                                                list[tuple[int, int]]]:
     """Minimum-weight K1/K2 simple star partitioning of a weak non-trivial
-    tree, over its walk (parent, order).  The tree is the one the walk
-    reaches, so an order without some of t's leaves solves t with those
-    leaves stripped.
+    tree, over its walk (parent, order), and the swap certificate it
+    converts into.  The tree is the one the walk reaches, so an order
+    without some of t's leaves solves t with those leaves stripped; a
+    strong tree has no feasible state at its root.
 
-    Returns (weight, parts).  Weight counts the K2 parts.  Ties break toward
-    pairing with the parent, then toward the lower-index child partner.
+    Returns (weight, parts, matching).  Weight counts the K2 parts.  Ties
+    break toward pairing with the parent, then toward the lower-index child
+    partner.  Costs live in flat per-vertex lists, _INF where a state is
+    infeasible: cost_k is K with two C children, and best[v] is the least
+    of C and K with at least one.  The traceback re-derives each child's
+    state from them with the tie rules of the forward pass.
 
-    Costs live in flat per-vertex lists, _INF where a state is infeasible,
-    and best[v] is the least of C, K0 and K1.  The traceback re-derives each
-    child's state from them with the tie rules of the forward pass.
+    The traceback also labels the certificate, whose matching lists each K2
+    part's (D, D') pair.  A K center needs a neighbor of each label; its
+    parent's part, if a K2, is labeled before it is reached, and it hands
+    the labels it lacks, D before D', to its C children in ascending order.
+    Every other K2 part puts its lower endpoint in D.
     """
     n = t.n
     parent, order = walk
@@ -162,89 +170,81 @@ def _weak_partition_dp(t: Graph, walk) -> tuple[int, list[tuple[int, tuple[int, 
     for v in order[1:]:
         children[parent[v]].append(v)
     root = order[0]
-    # stem_leaf[v]: v's only leaf neighbour, which its part must be a K2
-    # with.  The root is a leaf when it has one child; every other leaf
-    # reaches its stem on the way up, before the stem is solved.
-    stem_leaf = [-1] * n
-    if len(children[root]) == 1:
-        stem_leaf[children[root][0]] = root
 
-    cost_p, cost_c, cost_k0, cost_k1 = ([_INF] * n for _ in range(4))
-    best = [_INF] * n
+    cost_p, cost_c, cost_k, best = ([_INF] * n for _ in range(4))
     partner = [-1] * n
 
     for v in reversed(order):
         cs = children[v]
-        f = stem_leaf[v]
-        if not cs:
-            # a leaf (never the root of a tree on two or more vertices) can
-            # only pair with its parent
-            if f == -1 or f == parent[v]:
-                cost_p[v] = 0
-            if stem_leaf[parent[v]] != -1:
-                raise ContractError("partition DP requires a weak tree")
-            stem_leaf[parent[v]] = v
+        if not cs:  # a leaf
+            cost_p[v] = 0
             continue
         base = sum(map(best.__getitem__, cs))
-        # state P: pair with parent; children settle on C/K0/K1
-        if parent[v] != -1 and (f == -1 or f == parent[v]) and base < _INF:
+        # state P: pair with parent; children settle on C or K
+        if parent[v] != -1 and base < _INF:
             cost_p[v] = base
         # state C: pair with one child in state P, the first of least cost
-        if f == -1 or parent[f] == v:
-            delta, c_star = _INF, -1
-            for c in ((f,) if f != -1 else cs):
-                d = cost_p[c] - best[c]
-                if d < delta:
-                    delta, c_star = d, c
-            if c_star != -1 and base + delta < _INF:
-                cost_c[v] = 1 + base + delta
-                partner[v] = c_star
-        # states K0/K1: v is a K1 part; children settle on C (counts) or K0.
-        # A K-state short of C children is left infeasible: upgrading a K0
-        # child c to C costs cost_c[c] >= 1 + base_c (as cost_c[c] >
-        # cost_k0[c] >= base_c), while pairing v with c in state P costs no
-        # more, so state C is at least as cheap and wins the tie.
-        if f == -1:
-            total = have = 0
-            for c in cs:
-                c_cost, k_cost = cost_c[c], cost_k0[c]
-                if c_cost <= k_cost:
-                    total += c_cost
-                    have += 1
-                else:
-                    total += k_cost
-            if total < _INF:
-                if have >= 1:
-                    cost_k1[v] = total
-                if have >= 2:
-                    cost_k0[v] = total
-        best[v] = min(cost_c[v], cost_k0[v], cost_k1[v])
+        delta, c_star = _INF, -1
+        for c in cs:
+            d = cost_p[c] - best[c]
+            if d < delta:
+                delta, c_star = d, c
+        if base + delta < _INF:
+            cost_c[v] = 1 + base + delta
+            partner[v] = c_star
+        # state K: children settle on C (counts) or K.  K short of the C
+        # children it needs is left infeasible: upgrading a K child c to C costs
+        # cost_c[c] >= 1 + base_c (as cost_c[c] > cost_k[c] >= base_c),
+        # while pairing v with c in state P costs no more, so state C is at
+        # least as cheap and wins the tie.
+        total = have = 0
+        for c in cs:
+            c_cost, k_cost = cost_c[c], cost_k[c]
+            if c_cost <= k_cost:
+                total += c_cost
+                have += 1
+            else:
+                total += k_cost
+        if have >= 2:
+            cost_k[v] = total
+        best[v] = min(cost_c[v], total if have else _INF)
 
-    if min(cost_c[root], cost_k0[root]) >= _INF:
+    weight = min(cost_c[root], cost_k[root])
+    if weight >= _INF:
         raise ConstructionError("no simple star partitioning found on a weak tree")
-    root_c = cost_c[root] <= cost_k0[root]
 
-    # parents precede children in the walk, so each vertex's state is known
-    # by the time it is reached
+    # parents precede children in the walk, so each vertex's state, and the
+    # label of its parent's K2 part, are known by the time it is reached
     state = ["P"] * n
-    state[root] = "C" if root_c else "K0"
+    state[root] = "C" if cost_c[root] == weight else "K"
+    in_d: list[bool | None] = [None] * n  # None until the vertex's part is labeled
     parts: list[tuple[int, tuple[int, ...]]] = []
+    matching: list[tuple[int, int]] = []
     for v in order:
-        s = state[v]
         cs = children[v]
-        if s == "K0" or s == "K1":
+        if state[v] == "K":
             parts.append((v, ()))
+            p = parent[v]
+            lacking = [True, False] if p == -1 or state[p] == "K" else [not in_d[p]]
             for c in cs:
-                state[c] = "C" if cost_c[c] <= cost_k0[c] else "K0"
+                if cost_c[c] <= cost_k[c]:
+                    state[c] = "C"
+                    if lacking:
+                        in_d[c] = lacking.pop(0)
+                else:
+                    state[c] = "K"
             continue
         for c in cs:
-            b = best[c]
-            state[c] = "C" if cost_c[c] == b else "K0" if cost_k0[c] == b else "K1"
-        if s == "C":
+            state[c] = "C" if cost_c[c] == best[c] else "K"
+        if state[v] == "C":
             w = partner[v]
             state[w] = "P"
+            if in_d[v] is None:
+                in_d[v] = v < w
+            in_d[w] = not in_d[v]
+            matching.append((v, w) if in_d[v] else (w, v))
             parts.append((v, (w,)) if v < w else (w, (v,)))
-    return (cost_c[root] if root_c else cost_k0[root]), parts
+    return weight, parts, matching
 
 
 def s_weight(t: Graph) -> tuple[int, StarPartition]:
@@ -252,53 +252,6 @@ def s_weight(t: Graph) -> tuple[int, StarPartition]:
     the partition analyse_tree computes."""
     partition = analyse_tree(t).partition
     return partition.weight, partition
-
-
-# ---------------------------------------------------------------------------
-# Swap certificate from a K1/K2 partition
-
-def _label_partition(t: Graph, p: StarPartition, walk) -> SwapCertificate:
-    """Convert a K1/K2 simple star partitioning of a weak tree into a swap
-    certificate of the same size, in one pass down its walk _rooted(t).
-
-    Each K2 part contributes one endpoint to D and the other to D', matched
-    along the part's edge; by default its lower-index endpoint goes to D.
-    A K1 center u needs a neighbor of each label.  Walking the tree from
-    vertex 0 in breadth-first order, u's parent is labeled before u is
-    reached, while each child of u in a K2 part pairs with a vertex below it
-    and is still unlabeled; u hands the labels it lacks, D before D', to
-    those children in ascending order.  The partition conditions give u two
-    such neighbor parts, so no label is ever revisited.  The partition is
-    unchecked: callers pass the K1/K2 partition that the DP builds for a
-    weak tree.
-    """
-    parent, order = walk
-    mate = [-1] * t.n
-    for c, leaves in p.parts:
-        if leaves:
-            (w,) = leaves
-            mate[c], mate[w] = w, c
-    in_d: list[bool | None] = [None] * t.n  # None until the vertex's part is labeled
-    for u in order:
-        w = mate[u]
-        if w != -1:
-            if in_d[u] is None:
-                in_d[u], in_d[w] = u < w, w < u
-            continue
-        lacking = [True, False]  # D, D'
-        pu = parent[u]
-        if pu != -1 and mate[pu] != -1:
-            lacking.remove(in_d[pu])
-        # in a tree walked breadth-first, u's children are its neighbors
-        # other than its parent, ascending
-        for c in t.neighbors(u):
-            if lacking and c != pu and mate[c] != -1:
-                side = lacking.pop(0)
-                in_d[c], in_d[mate[c]] = side, not side
-
-    d = [v for v in range(t.n) if in_d[v]]
-    d_prime = [v for v in range(t.n) if in_d[v] is False]
-    return SwapCertificate.build(d, d_prime, [(v, mate[v]) for v in d])
 
 
 def dd_m_tree(t: Graph) -> DdmResult:
@@ -312,8 +265,8 @@ def dd_m_tree(t: Graph) -> DdmResult:
 class TreeAnalysis(_Frozen):
     """Everything `swapsets tree` reports about a non-trivial tree, from one
     walk and one partition DP: the walk that checks the tree also roots it
-    for the DP, which solves the weak reduction in place, and for the
-    labeling."""
+    for the DP, which solves the weak reduction in place and labels the
+    certificate."""
 
     __slots__ = ("n", "removed", "reduced_weight", "partition", "result",
                  "four_way_equality")
@@ -364,7 +317,7 @@ def _analysis(t: Graph, removed, walk) -> TreeAnalysis:
         extra.setdefault(stem, []).append(leaf)
     drop = {leaf for _, leaf in removed}
     parent, order = walk
-    w_red, parts = _weak_partition_dp(t, (parent, [v for v in order if v not in drop]))
+    w_red, parts, matching = _weak_partition_dp(t, (parent, [v for v in order if v not in drop]))
     by_center = [None] * t.n
     for part in parts:
         c, leaves = part
@@ -379,7 +332,8 @@ def _analysis(t: Graph, removed, walk) -> TreeAnalysis:
         raise ConstructionError("re-expanded partition weight differs from S(T)")
     if removed:
         return TreeAnalysis(t.n, removed, w_red, partition, DdmResult(INFINITE), False)
-    cert = certified(t, _label_partition(t, partition, walk))
+    cert = certified(t, SwapCertificate.build([a for a, _ in matching],
+                                              [b for _, b in matching], matching))
     if cert.size() != partition.weight:
         raise ConstructionError("tree certificate size differs from S(T)")
     hat = t.n == 2 or 2 * list(map(t.degree, range(t.n))).count(1) == t.n

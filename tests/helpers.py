@@ -10,7 +10,14 @@ import heapq
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from swapsets import ContractError, Graph, GraphParseError, is_tree
+from swapsets import (
+    ContractError,
+    Graph,
+    GraphParseError,
+    StarPartition,
+    SwapCertificate,
+    is_tree,
+)
 from swapsets.graph_core import MAX_GRAPH_N, _mask_members
 from swapsets.tree_algorithms import _INF, _rooted
 
@@ -516,7 +523,8 @@ def weak_partition_dp_oracle(t: Graph):
     """The K1/K2 partition DP of `tree_algorithms._weak_partition_dp` as it
     was first written: a cost dict and a trace dict per vertex, and an
     assignment dict of the children's states for every state.  Returns the
-    same (weight, parts), ties broken the same way."""
+    same (weight, parts) as the DP's first two outputs, ties broken the same
+    way."""
     n = t.n
     parent, order = _rooted(t)
     children = [[] for _ in range(n)]
@@ -656,6 +664,54 @@ def weak_partition_dp_oracle(t: Graph):
     return dp[root][best_state], parts
 
 
+def label_partition_oracle(t: Graph, p: StarPartition, walk) -> SwapCertificate:
+    """The certificate labelling of `tree_algorithms` as it was written
+    before the DP's traceback took it over, a second pass over the finished
+    partition.
+
+    Convert a K1/K2 simple star partitioning of a weak tree into a swap
+    certificate of the same size, in one pass down its walk _rooted(t).
+
+    Each K2 part contributes one endpoint to D and the other to D', matched
+    along the part's edge; by default its lower-index endpoint goes to D.
+    A K1 center u needs a neighbor of each label.  Walking the tree from
+    vertex 0 in breadth-first order, u's parent is labeled before u is
+    reached, while each child of u in a K2 part pairs with a vertex below it
+    and is still unlabeled; u hands the labels it lacks, D before D', to
+    those children in ascending order.  The partition conditions give u two
+    such neighbor parts, so no label is ever revisited.  The partition is
+    unchecked: callers pass the K1/K2 partition that the DP builds for a
+    weak tree.
+    """
+    parent, order = walk
+    mate = [-1] * t.n
+    for c, leaves in p.parts:
+        if leaves:
+            (w,) = leaves
+            mate[c], mate[w] = w, c
+    in_d: list[bool | None] = [None] * t.n  # None until the vertex's part is labeled
+    for u in order:
+        w = mate[u]
+        if w != -1:
+            if in_d[u] is None:
+                in_d[u], in_d[w] = u < w, w < u
+            continue
+        lacking = [True, False]  # D, D'
+        pu = parent[u]
+        if pu != -1 and mate[pu] != -1:
+            lacking.remove(in_d[pu])
+        # in a tree walked breadth-first, u's children are its neighbors
+        # other than its parent, ascending
+        for c in t.neighbors(u):
+            if lacking and c != pu and mate[c] != -1:
+                side = lacking.pop(0)
+                in_d[c], in_d[mate[c]] = side, not side
+
+    d = [v for v in range(t.n) if in_d[v]]
+    d_prime = [v for v in range(t.n) if in_d[v] is False]
+    return SwapCertificate.build(d, d_prime, [(v, mate[v]) for v in d])
+
+
 def _ahu_key(t: Graph, root: int) -> str:
     """Rooted canonical encoding: each vertex is "(" + its children's
     encodings, sorted + ")", built bottom-up along a walk from root."""
@@ -699,8 +755,13 @@ def tree_canonical_key(t: Graph) -> str:
 
 def prufer_tree(n: int, rng) -> Graph:
     """The labelled tree on n >= 2 vertices decoded from a Prüfer sequence
-    drawn from rng, smallest leaf first."""
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    drawn from rng."""
+    return prufer_decode(n, [rng.randrange(n) for _ in range(n - 2)])
+
+
+def prufer_decode(n: int, seq) -> Graph:
+    """The labelled tree on n >= 2 vertices with Prüfer sequence seq, of
+    length n - 2, decoded smallest leaf first."""
     degree = [1] * n
     for v in seq:
         degree[v] += 1

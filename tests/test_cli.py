@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -678,9 +679,27 @@ def run_module(argv, cwd=None):
                           capture_output=True, env=env, cwd=cwd, timeout=120)
 
 
+@pytest.fixture(scope="class")
+def scale_items(tmp_path_factory):
+    """perfbench's scale items at its default seed, by name, their input
+    trees written to a temporary directory.  perfbench/items.py and its
+    sibling certcheck are loaded without writing bytecode beside them."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_items", bench / "items.py")
+        items = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, items)  # its dataclass looks itself up there
+        spec.loader.exec_module(items)
+        return {item.name: item for item in
+                items.scale_items(items.DEFAULT_SEED, tmp_path_factory.mktemp("scale"))}
+
+
 class TestBenchmarkReference:
-    # the seed-independent items of perfbench, run as the benchmark runs
-    # them; their stdout digests and exit codes are read from its reference
+    # the seed-independent items of perfbench, and its tree items at the
+    # default seed, run as the benchmark runs them; their stdout digests and
+    # exit codes are read from its reference
 
     @staticmethod
     def check(name, argv, cwd=None):
@@ -699,6 +718,12 @@ class TestBenchmarkReference:
     ])
     def test_stdout_matches_recorded_digest(self, name, argv):
         self.check(name, argv)
+
+    @pytest.mark.parametrize("name", ["tree-hat-500", "tree-1000", "tree-10000", "tree-30000"])
+    def test_tree_stdout_matches_recorded_digest(self, name, scale_items):
+        # tree-hat-500 is the only weak tree among them, so the only digest
+        # that covers a tree certificate
+        self.check(name, scale_items[name].argv)
 
     def test_grid_files_then_verify_match_recorded_digests(self, tmp_path):
         self.check("grid-200-files", ["construct", "grid", "200", "200", "--graph-out",

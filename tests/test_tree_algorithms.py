@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from helpers import (
     brute_alpha,
     brute_gamma,
     enumerate_trees,
+    label_partition_oracle,
     part_not_a_star_oracle,
+    prufer_decode,
     prufer_tree,
     star_partition_weight_oracle,
     tree_canonical_key,
@@ -16,6 +19,7 @@ from helpers import (
     weak_partition_dp_oracle,
 )
 from swapsets import (
+    ConstructionError,
     ContractError,
     DdmResult,
     FINITE,
@@ -39,7 +43,7 @@ from swapsets import (
     weak_reduction,
 )
 from swapsets.graph_core import bfs_tree
-from swapsets.tree_algorithms import _label_partition, _rooted, _weak_partition_dp
+from swapsets.tree_algorithms import _rooted, _weak_partition_dp
 
 
 def count_walks(monkeypatch) -> list[int]:
@@ -186,8 +190,16 @@ class TestPartitionDpOracle:
     def assert_agrees(t):
         reduced = weak_reduction(t).reduced
         if reduced.n >= 2:
-            assert (_weak_partition_dp(reduced, _rooted(reduced))
+            assert (_weak_partition_dp(reduced, _rooted(reduced))[:2]
                     == weak_partition_dp_oracle(reduced))
+
+    @pytest.mark.parametrize("t", [star_graph(3), spider(1, 1, 2), path_graph(3)],
+                             ids=["k13", "spider", "p3"])
+    def test_strong_walk_rejected(self, t):
+        # a stem with two leaves has no feasible state, so no partition is
+        # found, whether that stem is the root or the root is one of its leaves
+        with pytest.raises(ConstructionError):
+            _weak_partition_dp(t, _rooted(t))
 
     def test_all_small_trees(self):
         for n in range(2, 11):
@@ -323,15 +335,35 @@ class TestStarPartitionShape:
 
 
 class TestSwapFromPartition:
+    """The DP's traceback labels the certificate as the second pass over
+    the finished partition that it replaced did."""
+
+    @staticmethod
+    def assert_agrees(t):
+        analysis = analyse_tree(t)
+        cert = analysis.result.certificate
+        assert cert == label_partition_oracle(t, analysis.partition, _rooted(t))
+        assert verify_certificate(t, cert)
+        assert cert.size() == analysis.partition.weight
+
     def test_certificates_verify_at_weight(self):
         for n in range(2, 13):
             for t in enumerate_trees(n):
-                if not is_weak_tree(t):
-                    continue
-                weight, partition = s_weight(t)
-                cert = _label_partition(t, partition, _rooted(t))
-                assert verify_certificate(t, cert)
-                assert cert.size() == weight
+                if is_weak_tree(t):
+                    self.assert_agrees(t)
+
+    def test_every_labelled_tree(self):
+        # tie-breaks depend on vertex labels, and enumerate_trees gives one
+        # labelling per class: decode every Prüfer sequence instead
+        count = 0
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                t = prufer_decode(n, seq)
+                TestPartitionDpOracle.assert_agrees(t)
+                if is_weak_tree(t):
+                    self.assert_agrees(t)
+                count += 1
+        assert count == 18_248
 
     def test_labelling_is_linear(self, monkeypatch):
         # a uniform random labelled tree from a walk on the complete graph
@@ -350,8 +382,6 @@ class TestSwapFromPartition:
             u = v
         t = weak_reduction(Graph(n, edges)).reduced
         assert t.n >= 20_000 and is_weak_tree(t)
-        weight, partition = s_weight(t)
-        assert any(not leaves for _, leaves in partition.parts)
         calls = []
         real = Graph.neighbors
 
@@ -360,11 +390,11 @@ class TestSwapFromPartition:
             return real(self, v)
 
         monkeypatch.setattr(Graph, "neighbors", counted)
-        cert = _label_partition(t, partition, _rooted(t))
+        analysis = analyse_tree(t)
         assert len(calls) <= 2 * t.n
         monkeypatch.undo()
-        assert verify_certificate(t, cert)
-        assert cert.size() == weight
+        assert any(not leaves for _, leaves in analysis.partition.parts)
+        self.assert_agrees(t)
 
 
 class TestDdmTree:
