@@ -389,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ACYCLIC_COMMANDS = ("tree", "construct", "verify", "report", "gamma-dp")
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -407,10 +404,9 @@ def run(argv: list[str]) -> int:
         "scan": _cmd_scan,
         "report": _cmd_report,
     }
-    # These commands make no cyclic garbage, so the collector's passes over
-    # their graphs would free nothing.  scan and compute keep it: they reach
-    # dominating_sets_lex, whose recursive closure leaves one cycle per call.
-    paused = args.command in _ACYCLIC_COMMANDS and gc.isenabled()
+    # No command makes cyclic garbage (the recursive searches free their own
+    # closures), so the collector's passes over their graphs would free nothing.
+    paused = gc.isenabled()
     if paused:
         gc.disable()
     try:

@@ -606,7 +606,10 @@ def independence_number(g: Graph) -> int:
         grow(candidates & ~g.closed_mask(pivot), size + 1)
         grow(candidates & ~(1 << pivot), size)
 
-    grow(g.full_mask, 0)
+    try:
+        grow(g.full_mask, 0)
+    finally:
+        del grow  # the closure refers to itself; this breaks that cycle
     return best
 
 
@@ -647,7 +650,10 @@ def dominating_sets_lex(g: Graph, k: int, allowed_mask: int | None = None) -> It
             yield from rec(v + 1, chosen | (1 << v), undominated & ~g.closed_mask(v),
                            slots - 1)
 
-    yield from rec(0, 0, g.full_mask, k)
+    try:
+        yield from rec(0, 0, g.full_mask, k)
+    finally:
+        del rec  # breaks the closure's cycle when the generator is closed or freed
 
 
 def has_dominating_set(g: Graph, k: int) -> bool:
@@ -698,40 +704,45 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 # shorter lists are mapped in-process.  A split costs a few ms (the fork,
 # the child's page copies, reaping), so where it pays depends on the
-# items.  On a 2-vCPU machine (medians of 20 alternating rounds), census
-# labellings of 40-80 us each broke even near 128 items: 10.0 ms
-# in-process against 9.3 ms split, and 19.9 against 15.5 ms at 256.
-# Alpha-only fills, 20-30 us per record, broke even near 400: 7.5 against
-# 9.5 ms at 256, 15.7 against 13.9 ms at 512.  The constant follows the
-# labellings, which include the 333 jobs of the six-vertex census level;
-# an alpha-only fill of 128 to 400 records (scan alpha2 or alpha3 at
-# --max-n 6) splits at a loss of about 2 ms.
-_SPLIT_MIN_ITEMS = 128
+# items.  On a 2-vCPU machine whose second CPU was free only part of the
+# time, with the collector off: a split of 400 trivial items took 2.2 to
+# 2.7 ms longer than the plain map (medians of 30).  In fresh processes
+# (medians of 40 alternating runs), the six-vertex census level, 333 jobs
+# of which 118 are labelled, took 9.3 ms in-process against 12.5 ms split;
+# fills of the 143 records up to six vertices took 1.7 against 4.4 ms for
+# alpha alone and 12.4 against 15.8 ms for alpha, gamma and the swap
+# number.  The constant sits just above the six-vertex level, near where
+# alpha-only fills broke even in earlier runs (7.5 against 9.5 ms at 256
+# records, 15.7 against 13.9 ms at 512); the seven-vertex level (3,771
+# jobs) and the fills of the scans to seven vertices (587 records or
+# more) split.
+_SPLIT_MIN_ITEMS = 400
 
 
 def _split_map(fn, items: Sequence) -> list:
-    """[fn(x) for x in items], with the second half computed in one forked
-    child process where os.fork exists, at least two CPUs are allowed, the
-    process runs no other thread (a lock another thread held at the fork
-    would never be released in the child) and the list holds at least
-    _SPLIT_MIN_ITEMS items; anywhere else, or when the fork fails, the whole
-    map runs in-process.
+    """[fn(x) for x in items], with the items at odd indices computed in one
+    forked child process where os.fork exists, at least two CPUs are
+    allowed, the process runs no other thread (a lock another thread held
+    at the fork would never be released in the child) and the list holds at
+    least _SPLIT_MIN_ITEMS items; anywhere else, or when the fork fails, the
+    whole map runs in-process.
 
     fn's results must be plain data (ints, strs, lists, tuples, dicts and
     None), which the child passes back through a pipe with marshal.  The
     child always ends with os._exit, so it runs no finally clause or atexit
     hook of its caller, flushes no buffered output and prints nothing.  The
-    parent maps the first half and then reaps the child; when the child
-    failed or its data is short, the parent maps the second half itself, so
-    an exception the child met is raised here, in-process, as usual.  When
-    the parent's own half raises, the child is killed and reaped first."""
+    parent maps the even indices, in order, and then reaps the child; when
+    the child failed or its data is short, the parent maps the odd indices
+    itself, after its own, so an exception the child met is raised here,
+    in-process, as usual.  When the parent's own share raises, the child is
+    killed and reaped first.  Alternating items, rather than halves, keeps
+    the shares even where the cost of an item drifts along the list."""
     threading = sys.modules.get("threading")
     if (len(items) < _SPLIT_MIN_ITEMS or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
             or threading is not None and threading.active_count() > 1):
         return list(map(fn, items))
-    half = len(items) // 2
-    head, tail = items[:half], items[half:]
+    head, tail = items[::2], items[1::2]
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -764,5 +775,6 @@ def _split_map(fn, items: Sequence) -> list:
         rest = None
     if type(rest) is not list or len(rest) != len(tail):
         rest = list(map(fn, tail))
-    done += rest
-    return done
+    merged = [None] * len(items)
+    merged[::2], merged[1::2] = done, rest
+    return merged

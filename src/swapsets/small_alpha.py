@@ -13,7 +13,9 @@ vertex with two or more pendant neighbors, which rules out every swap pair;
 the construction succeeds on every non-strong graph the package scans, and
 the exact solver stands behind it.  The census of small connected graphs, generated by
 orbit-pruned vertex extension, drives empirical scans of two open
-conjectures.
+conjectures.  A child that a degree-sequence test proves to be a copy of an
+earlier parent's child is dropped before it is labelled, so census(7)
+labels 1,486 graphs for its 996 classes, and census(8) 33,694 for 12,113.
 """
 
 from __future__ import annotations
@@ -197,24 +199,32 @@ def _orbit_least_masks(n: int, generators: list[list[int]]):
     """The nonempty masks of n vertices that are least in their orbit under
     the group these vertex maps generate, ascending.  The first unseen mask
     of each orbit is its least; the orbit is then closed under the
-    generators.  A mask's image is the sum of its members' image bits."""
+    generators.  Each generator's mask images are one table, built by
+    doubling: the images of the masks below bit v, then the same with v's
+    image bit added."""
     masks = range(1, 1 << n)
     if not generators:
         return masks
-    images = [[1 << w for w in sigma] for sigma in generators]
-    vertices = range(n)
-    seen = set()
+    images = []
+    for sigma in generators:
+        image = [0]
+        for v in range(n):
+            bit = 1 << sigma[v]
+            image += [x | bit for x in image]
+        images.append(image)
+    seen = bytearray(1 << n)
     least = []
     for mask in masks:
-        if mask not in seen:
+        if not seen[mask]:
             least.append(mask)
-            seen.add(mask)
+            seen[mask] = 1
             orbit = [mask]
             for member_mask in orbit:
-                members = [u for u in vertices if member_mask >> u & 1]
-                unseen = {sum(map(bit.__getitem__, members)) for bit in images} - seen
-                seen |= unseen
-                orbit += unseen
+                for image in images:
+                    x = image[member_mask]
+                    if not seen[x]:
+                        seen[x] = 1
+                        orbit.append(x)
     return least
 
 
@@ -297,11 +307,13 @@ def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
     orbit comes first in the ascending loop and the first child of every
     class, the one kept as its representative, is still generated.
 
-    Each child is labelled from its parent's neighbor tuples, open masks
-    and edges, extended by the new vertex, and a Graph is built only for
-    the first child of each code; the generators its labelling found are
-    kept with it, so the next level labels no parent again.  No level
-    extends the records at MAX_CENSUS_N, so they keep no generators."""
+    A child that is provably not the first of its class is dropped before
+    it is labelled (see _first_children); the others are labelled from
+    their parent's neighbor tuples, open masks and edges, extended by the
+    new vertex, and a Graph is built only for the first child of each code.
+    The generators its labelling found are kept with it, so the next level
+    labels no parent again.  No level extends the records at MAX_CENSUS_N,
+    so they keep no generators."""
     if n == 1:
         code, generators = _label([()], [0], [])
         return ((CensusRecord(Graph(1, []), _graph_id(1, code)), generators),)
@@ -312,17 +324,33 @@ def _classes(n: int) -> tuple[tuple[CensusRecord, list[list[int]]], ...]:
 def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
     """code -> (Graph, generators) of the first child of each class on n
     vertices (see _classes), one job per parent and orbit-least mask, in
-    that order.  The jobs are labelled through _split_map.  Each process
-    labels its jobs in order and returns None for a code it has met before,
-    so it holds one entry per class it meets; the first job of each code is
-    among those returned and is kept, so the records are those of the
-    serial loop.  The jobs and codes are freed on return, before _classes
-    builds its records."""
+    that order.
+
+    A job whose child is a later copy is dropped unlabelled.  Let C be the
+    child of parent P_p, and w an old vertex such that C - w is connected
+    and every parent with C - w's sorted degree sequence has an index below
+    p.  Then C - w is isomorphic to some P_q with q < p, so C is also the
+    child of an orbit-least job of parent q, which comes first.  The test
+    costs a sorted tuple and a dict lookup per w, and a walk over the open
+    masks only when the lookup passes.  It drops 215 of 333 jobs at n = 6,
+    2,434 of 3,771 at n = 7 and 34,933 of 67,141 at n = 8.
+
+    The jobs are tested and labelled through _split_map, whose two
+    processes take alternate jobs: late parents have most of their jobs
+    dropped, so halves would leave most labels to the first process.  Each
+    process returns None for a code it has met at an earlier job; when a
+    failed worker's jobs are labelled after the parent's own, a code met
+    there only at a later job is returned again.  So the first job of each
+    code is among those returned and is kept, and the records are those of
+    the serial loop.  The jobs and codes are freed on return, before
+    _classes builds its records."""
     top = n - 1
     parents = _classes(top)
     shapes = [(list(map(rec.graph.neighbors, range(top))),
                list(map(rec.graph.open_mask, range(top))), rec.graph.edges)
               for rec, _ in parents]
+    # the largest index of a parent with each sorted degree sequence
+    last = {tuple(sorted(map(len, adj))): p for p, (adj, _, _) in enumerate(shapes)}
     from array import array  # here, so that importing the package skips it
 
     # one machine word per job: the parent's index above the mask
@@ -330,13 +358,17 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
                        for mask in _orbit_least_masks(top, generators)))
     low = (1 << top) - 1
     keep = n < MAX_CENSUS_N
-    seen = set()  # the codes this process has labelled
+    seen = {}  # code -> the least job of this process that labelled it
 
     def label(job):
-        code, generators = _label(*_child(*shapes[job >> top], job & low))
-        if code in seen:
+        p, mask = job >> top, job & low
+        adj, opens, _ = shape = shapes[p]
+        if _copies_an_earlier_parent(adj, opens, mask, p, last):
             return None
-        seen.add(code)
+        code, generators = _label(*_child(*shape, mask))
+        if seen.get(code, job) < job:
+            return None
+        seen[code] = job
         return code, generators if keep else ()
 
     out: dict[int, tuple[Graph, list[list[int]]]] = {}
@@ -344,6 +376,37 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
         if first is not None and first[0] not in out:
             out[first[0]] = Graph(n, _child(*shapes[job >> top], job & low)[2]), first[1]
     return out
+
+
+def _copies_an_earlier_parent(adj: list, opens: list[int], mask: int, p: int,
+                              last: dict) -> bool:
+    """Whether removing some old vertex w from the child of parent p with
+    these neighbor tuples and open masks, and of this mask, leaves a
+    connected graph whose sorted degree sequence only parents below index p
+    have (see _first_children).  The child is read from its parent: C - w is
+    connected iff a walk over P - w from the new vertex's neighbors reaches
+    every vertex of P - w."""
+    top = len(adj)
+    degrees = [len(nbrs) + (mask >> u & 1) for u, nbrs in enumerate(adj)]
+    degrees.append(mask.bit_count())
+    for w in range(top):
+        rest = degrees[:]
+        for u in adj[w]:
+            rest[u] -= 1
+        rest[top] -= mask >> w & 1
+        del rest[w]
+        if last.get(tuple(sorted(rest)), p) < p:
+            remaining = (1 << top) - 1 ^ 1 << w
+            reached = todo = mask & remaining
+            while todo:
+                v = todo.bit_length() - 1
+                todo ^= 1 << v
+                grown = opens[v] & remaining & ~reached
+                reached |= grown
+                todo |= grown
+            if reached == remaining:
+                return True
+    return False
 
 
 def _child(adj: list, opens: list[int], edges, mask: int) -> tuple[list, list[int], list]:

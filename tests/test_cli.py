@@ -595,10 +595,10 @@ class TestTwoCores:
 
 
 class TestCollector:
-    """tree, construct, verify, report and gamma-dp run with the cycle
-    collector off, since they make no cyclic garbage; scan and compute
-    reach dominating_sets_lex, whose recursive closure leaves one cycle
-    per call, so they keep it.  run() hands the caller's setting back."""
+    """Every command runs with the cycle collector off, since none makes
+    cyclic garbage: the recursive searches of dominating_sets_lex and
+    independence_number free their own closures.  run() hands the caller's
+    setting back."""
 
     @pytest.mark.parametrize("argv", [("tree", "p6"), ("tree", "c5"), ("compute", "p4")])
     @pytest.mark.parametrize("enabled", [True, False])
@@ -614,7 +614,7 @@ class TestCollector:
 
     @pytest.mark.parametrize("command,on", [
         ("tree", False), ("construct", False), ("verify", False), ("report", False),
-        ("gamma-dp", False), ("scan", True), ("compute", True),
+        ("gamma-dp", False), ("scan", False), ("compute", False),
     ])
     def test_collector_during_each_command(self, capsys, monkeypatch, tmp_path,
                                            command, on):
@@ -644,6 +644,9 @@ class TestCollector:
         (["verify", "{grid10}", "{cert10}"], ["verify", "{grid40}", "{cert40}"]),
         (["report", "grid", "--max-mn", "9"], ["report", "grid", "--max-mn", "12"]),
         (["gamma-dp", "3", "5"], ["gamma-dp", "3", "50"]),
+        (["scan", "conjectures", "--max-n", "5"], ["scan", "conjectures", "--max-n", "6"]),
+        (["scan", "products", "--max-n", "5"], ["scan", "products", "--max-n", "7"]),
+        (["compute", "grid:2x3"], ["compute", "grid:4x5"]),
     ])
     def test_no_cyclic_garbage_grows_with_the_input(self, capsys, tmp_path, small, large):
         for n in (200, 2000):

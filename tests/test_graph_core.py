@@ -592,13 +592,13 @@ class TestSplitMap:
         assert_no_child_left()
 
     @needs_two_cores
-    def test_second_half_runs_in_one_child(self):
+    def test_odd_items_run_in_one_child(self):
         parent = os.getpid()
         items = list(range(2 * _SPLIT_MIN_ITEMS + 1))
         pids = _split_map(lambda _: os.getpid(), items)
-        half = len(items) // 2
-        assert set(pids[:half]) == {parent}
-        assert len(set(pids[half:])) == 1 and pids[-1] != parent
+        assert len(pids) == len(items)
+        assert set(pids[::2]) == {parent}
+        assert len(set(pids[1::2])) == 1 and pids[1] != parent
         assert_no_child_left()
 
     def test_short_lists_never_fork(self):
@@ -608,14 +608,13 @@ class TestSplitMap:
 
     def test_child_failure_raises_in_the_parent(self, capfd):
         items = list(range(2 * _SPLIT_MIN_ITEMS))
-        half = len(items) // 2
 
         def fn(x):
-            if x >= half:
-                raise BudgetError("the child's half")
+            if x % 2:
+                raise BudgetError("the child's share")
             return x
 
-        with pytest.raises(BudgetError, match="the child's half"):
+        with pytest.raises(BudgetError, match="the child's share"):
             _split_map(fn, items)
         out, err = capfd.readouterr()
         assert (out, err) == ("", "")
@@ -635,17 +634,16 @@ class TestSplitMap:
 
     def test_parent_failure_kills_and_reaps_the_child(self):
         items = list(range(2 * _SPLIT_MIN_ITEMS))
-        half = len(items) // 2
 
         def fn(x):
-            if x < half:
-                raise ConstructionError("the parent's half")
-            if x == half:
+            if x % 2 == 0:
+                raise ConstructionError("the parent's share")
+            if x == 1:
                 time.sleep(60)  # a child left running would hold the parent here
             return x
 
         started = time.perf_counter()
-        with pytest.raises(ConstructionError, match="the parent's half"):
+        with pytest.raises(ConstructionError, match="the parent's share"):
             _split_map(fn, items)
         assert time.perf_counter() - started < 30
         assert_no_child_left()

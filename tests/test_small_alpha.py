@@ -160,7 +160,8 @@ class TestCensus:
         # counts the labellings, _label calls, behind canonical_form and the
         # census, in a fresh process, so no census level is cached from
         # earlier tests, and without os.fork, so no call is made in a worker
-        # the counter cannot see; the unpruned generator makes 7,816 here
+        # the counter cannot see; the unpruned generator makes 7,816 here,
+        # and the census before it dropped later copies unlabelled 4,160
         script = (
             "import os, sys\n"
             "del os.fork\n"
@@ -173,12 +174,13 @@ class TestCensus:
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
-        assert proc.stdout == "4160", proc.stderr
+        assert proc.stdout == "1486", proc.stderr
 
     def test_refine_calls(self):
         # a fresh process without os.fork, as above; the refinement that
         # starts from the uniform coloring and confirms discrete colorings
-        # makes 12,582, and the search without pruning at the root 9,148
+        # makes 12,582, the search without pruning at the root 9,148, and
+        # the census that labelled every job 8,544
         script = (
             "import os, sys\n"
             "del os.fork\n"
@@ -191,7 +193,39 @@ class TestCensus:
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
-        assert proc.stdout == "8544", proc.stderr
+        assert proc.stdout == "3370", proc.stderr
+
+    def test_dropped_children_copy_an_earlier_parent(self):
+        # every job is labelled here, so each drop is checked against the
+        # first job of its code: that job has a smaller parent index, so a
+        # dropped child is never the first of its class, and the first kept
+        # child of each code is the unpruned generator's representative
+        oracle = census_oracle(7)
+        dropped = []
+        for n in range(2, 8):
+            top = n - 1
+            parents = small_alpha._classes(top)
+            shapes = [(list(map(rec.graph.neighbors, range(top))),
+                       list(map(rec.graph.open_mask, range(top))), rec.graph.edges)
+                      for rec, _ in parents]
+            last = {tuple(sorted(map(len, adj))): p for p, (adj, _, _) in enumerate(shapes)}
+            first_parent = {}
+            kept = {}
+            drops = 0
+            for p, ((adj, opens, edges), (_, generators)) in enumerate(zip(shapes, parents)):
+                for mask in small_alpha._orbit_least_masks(top, generators):
+                    child = small_alpha._child(adj, opens, edges, mask)
+                    code = small_alpha._label(*child)[0]
+                    first_parent.setdefault(code, p)
+                    if small_alpha._copies_an_earlier_parent(adj, opens, mask, p, last):
+                        assert first_parent[code] < p, (n, p, mask)
+                        drops += 1
+                    else:
+                        kept.setdefault(code, Graph(n, child[2]).edges)
+            dropped.append(drops)
+            assert [(kept[code], small_alpha._graph_id(n, code)) for code in sorted(kept)] == [
+                (graph.edges, graph_id) for graph, graph_id in oracle if graph.n == n]
+        assert dropped == [0, 0, 2, 23, 215, 2434]
 
     def test_census_8_matches_recorded_digest(self):
         # ids, orders and representative edges of every census(8) record,
@@ -293,6 +327,17 @@ class TestCensus:
         # a twin class yields its swaps once, not again at each level below,
         # so a large complete graph's generators take n - 1 lists, not n**2 / 2
         assert len(label_generators(complete_graph(8))) == 7
+
+    def test_orbit_least_masks_match_brute_force(self):
+        # the least mask of each orbit under the whole automorphism group,
+        # for every census graph up to six vertices (the parents of census(7))
+        for n in range(1, 7):
+            for _, generators in small_alpha._classes(n):
+                group = generated_group(generators, n)
+                least = [mask for mask in range(1, 1 << n)
+                         if all(sum(1 << sigma[v] for v in range(n) if mask >> v & 1) >= mask
+                                for sigma in group)]
+                assert list(small_alpha._orbit_least_masks(n, generators)) == least
 
     def test_ids_and_order_match_enumeration(self):
         records = census(7)
