@@ -268,17 +268,18 @@ def _scan_alpha2(max_n: int) -> tuple[dict, int]:
 
 
 def _scan_alpha3(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import CensusRecord, _matched_swap, alpha3_bound_check, census
+    """The alpha-3 scan: the stage of alpha3_swap_with_stage on each record
+    of at least six vertices, and the bound check.  Both read
+    small_alpha._alpha3_records, which solves exactly only the records the
+    matched-partner construction misses."""
+    from .small_alpha import _alpha3_records, alpha3_bound_check
 
     stages: dict = {}
     no_swap = []
-    records = census(max_n)
-    CensusRecord.fill(records, ("alpha",))
-    records = [rec for rec in records if rec.n >= 6 and rec.alpha == 3]
-    CensusRecord.fill(records, ("ddm",))
+    records = [rec for rec in _alpha3_records(max_n) if rec.n >= 6]
     for rec in records:
         # the stages of alpha3_swap_with_stage, on the values the record holds
-        if _matched_swap(rec.graph, rec.alpha) is not None:
+        if rec.matched:
             stage = "matched-dominating"
         elif rec.ddm != "infinity":
             stage = "fallback"
@@ -404,8 +405,9 @@ def run(argv: list[str]) -> int:
         "scan": _cmd_scan,
         "report": _cmd_report,
     }
-    # No command makes cyclic garbage (the recursive searches free their own
-    # closures), so the collector's passes over their graphs would free nothing.
+    # No command makes cyclic garbage (the searches keep their branches on
+    # explicit stacks, not in closures that refer to themselves), so the
+    # collector's passes over their graphs would free nothing.
     paused = gc.isenabled()
     if paused:
         gc.disable()

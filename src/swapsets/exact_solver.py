@@ -16,12 +16,12 @@ from .graph_core import (
     SwapCertificate,
     _Frozen,
     _mask_members,
+    _perfect_matching,
     _require_domination_size,
     certified,
     dominating_sets_lex,
     is_strong_graph,
     lex_least_matching,
-    matching_between,
     members_of,
 )
 
@@ -81,18 +81,20 @@ def _first_pair(g: Graph, ks: range, node_budget: int) -> DdmResult:
     once node_budget candidate D' sets, counted across all k, are spent.
     Below the domination number no D exists, so ks may start low."""
     _require_domination_size(g)
+    opens = g._open
     spent = 0
     for k in ks:
         for d_mask in dominating_sets_lex(g, k):
             allowed = _neighborhood_mask(g, d_mask) & ~d_mask
             if allowed.bit_count() < k:
                 continue
-            d = members_of(d_mask)
+            d_rows = [opens[u] for u in _mask_members(d_mask)]
             for dp_mask in dominating_sets_lex(g, k, allowed):
                 if spent >= node_budget:
                     return DdmResult(BUDGET_EXCEEDED)
                 spent += 1
-                if matching_between(g, d, members_of(dp_mask)) is not None:
+                # D matched into D', one bitmask of D' per member of D
+                if _perfect_matching([row & dp_mask for row in d_rows]) is not None:
                     return finite_result(_certificate_for(g, d_mask, dp_mask))
     return DdmResult(INFINITE)
 

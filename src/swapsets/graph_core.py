@@ -13,8 +13,8 @@ import os
 import re
 import sys
 from bisect import bisect_left
-from itertools import chain, count, islice
-from operator import eq, itemgetter, lt
+from itertools import accumulate, chain, count, islice
+from operator import eq, itemgetter, lt, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -395,77 +395,97 @@ def is_strong_graph(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # matchings
 
-def matching_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, int], ...] | None:
-    """Perfect matching between disjoint equal-size vertex sets a and b using
-    edges of g, or None if there is none.
+def _perfect_matching(rows: list[int]) -> list[int] | None:
+    """The bit each row takes in a perfect matching of the rows into bit
+    positions, where rows[i] is the mask of the positions row i may take,
+    or None when some row cannot be matched.
 
-    Augmenting-path search over a in ascending order, partners tried in
-    ascending order, so the result is deterministic.
-    """
+    Rows are matched in order, each along a depth-first augmenting path
+    that tries free positions in ascending order; the walk keeps its path
+    on an explicit stack, so no path length meets the recursion limit."""
+    owner: dict[int, int] = {}  # position -> the row matched to it
+    for root in range(len(rows)):
+        path = [root]  # rows on the augmenting path; via[i] leads from path[i]
+        via: list[int] = []
+        visited = 0
+        while path:
+            free = rows[path[-1]] & ~visited
+            if not free:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            low = free & -free
+            visited |= low
+            pos = low.bit_length() - 1
+            holder = owner.get(pos)
+            if holder is not None:
+                via.append(pos)
+                path.append(holder)
+                continue
+            owner[pos] = path[-1]
+            owner.update(zip(via, path))
+            break
+        else:
+            return None
+    taken = [0] * len(rows)
+    for pos, row in owner.items():
+        taken[row] = pos
+    return taken
+
+
+def _matching_rows(g: Graph, a: Iterable[int],
+                   b: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+    """(sorted a, sorted b, rows): rows[i] holds bit j when the i-th vertex
+    of a is adjacent to the j-th of b.  Built from the adjacency tuples, so
+    a graph's vertex masks are not needed.  Refuses sets of unequal size,
+    overlapping sets and b-vertices out of range."""
     a_list = sorted(set(a))
     b_list = sorted(set(b))
     if len(a_list) != len(b_list):
         raise ContractError("matching endpoints must have equal size")
     if set(a_list) & set(b_list):
         raise ContractError("matching endpoints must be disjoint")
-    b_set = _checked(b_list, g.n)
-    adj = {u: [v for v in g.neighbors(u) if v in b_set] for u in a_list}
-    match_of_b: dict[int, int] = {}
+    _checked(b_list, g.n)
+    position = {v: j for j, v in enumerate(b_list)}
+    rows = [sum(1 << position[v] for v in g._adj[u] if v in position) for u in a_list]
+    return a_list, b_list, rows
 
-    def augment(root: int) -> bool:
-        """Depth-first search for an augmenting path from root, walked with
-        an explicit stack: stack[i] is the a-vertex at depth i with its
-        partner iterator, via[i] the b-vertex that led to stack[i + 1]."""
-        visited = set()
-        stack = [(root, iter(adj[root]))]
-        via: list[int] = []
-        while stack:
-            u, partners = stack[-1]
-            for v in partners:
-                if v in visited:
-                    continue
-                visited.add(v)
-                if v in match_of_b:
-                    via.append(v)
-                    w = match_of_b[v]
-                    stack.append((w, iter(adj[w])))
-                    break
-                match_of_b[v] = u
-                for (x, _), y in zip(reversed(stack[:-1]), reversed(via)):
-                    match_of_b[y] = x
-                return True
-            else:
-                stack.pop()
-                if via:
-                    via.pop()
-        return False
 
-    for u in a_list:
-        if not augment(u):
-            return None
-    match_of_a = {u: v for v, u in match_of_b.items()}
-    return tuple((u, match_of_a[u]) for u in a_list)
+def matching_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, int], ...] | None:
+    """Perfect matching between disjoint equal-size vertex sets a and b using
+    edges of g, or None if there is none.
+
+    One augmenting-path search (_perfect_matching) over a in ascending
+    order, partners tried in ascending order, so the result is
+    deterministic; the b side is one bitmask over b's sorted positions."""
+    a_list, b_list, rows = _matching_rows(g, a, b)
+    taken = _perfect_matching(rows)
+    if taken is None:
+        return None
+    return tuple(zip(a_list, map(b_list.__getitem__, taken)))
 
 
 def lex_least_matching(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, int], ...] | None:
     """Perfect matching between a and b minimizing the partner sequence of
-    ascending a, or None.  Greedy with a feasibility probe at each step."""
-    a_list = sorted(set(a))
-    b_set = set(b)
+    ascending a, or None.  Greedy: each vertex of a takes its least partner
+    after which the rest of a can still be matched, which one
+    _perfect_matching probe decides.  Refuses what matching_between
+    refuses."""
+    a_list, b_list, rows = _matching_rows(g, a, b)
     chosen: list[tuple[int, int]] = []
+    free = (1 << len(b_list)) - 1
     for i, u in enumerate(a_list):
-        placed = False
-        for v in sorted(b_set):
-            if not g.has_edge(u, v):
-                continue
-            rest = matching_between(g, a_list[i + 1:], b_set - {v}) if len(a_list) - i - 1 else ()
-            if rest is not None:
-                chosen.append((u, v))
-                b_set.remove(v)
-                placed = True
+        options = rows[i] & free
+        while options:
+            low = options & -options
+            options ^= low
+            if _perfect_matching([row & free & ~low for row in rows[i + 1:]]) is not None:
                 break
-        if not placed:
+        else:
             return None
+        free ^= low
+        chosen.append((u, b_list[low.bit_length() - 1]))
     return tuple(chosen)
 
 
@@ -578,38 +598,35 @@ MAX_DOMINATION_N = 30
 
 
 def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size by branch and bound."""
+    """Exact maximum independent set size by branch and bound on an
+    explicit stack: a branch ends when its size plus its candidates cannot
+    beat the best found, and otherwise splits on a candidate of most
+    candidate neighbours (the least such vertex), taken first, then
+    excluded."""
     if g.n > MAX_INDEPENDENCE_N:
         raise BudgetError(f"independence_number capped at n={MAX_INDEPENDENCE_N}, got n={g.n}")
+    opens, closed = g._open, g._closed
     best = 0
-
-    def grow(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        # branch on a maximum-degree candidate: either exclude it or take it
-        pivot, pivot_deg = -1, -1
+    stack = [(g.full_mask, 0)]  # (candidates, size) of the branches still open
+    while stack:
+        candidates, size = stack.pop()
+        left = candidates.bit_count()
+        if size + left <= best:
+            continue
+        pivot, pivot_deg = -1, 0
         m = candidates
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            d = (g.open_mask(v) & candidates).bit_count()
+            d = (opens[v] & candidates).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
-        if pivot_deg == 0:
-            best = max(best, size + candidates.bit_count())
-            return
-        grow(candidates & ~g.closed_mask(pivot), size + 1)
-        grow(candidates & ~(1 << pivot), size)
-
-    try:
-        grow(g.full_mask, 0)
-    finally:
-        del grow  # the closure refers to itself; this breaks that cycle
+        if not pivot_deg:
+            best = size + left  # the candidates are independent
+            continue
+        stack.append((candidates & ~(1 << pivot), size))
+        stack.append((candidates & ~closed[pivot], size + 1))
     return best
 
 
@@ -618,42 +635,63 @@ def dominating_sets_lex(g: Graph, k: int, allowed_mask: int | None = None) -> It
     allowed_mask, in lexicographic order of the sorted vertex tuple.
 
     Sets need not be minimal: redundant members are legal, which matters when
-    k exceeds the domination number.
+    k exceeds the domination number.  One depth-first loop over the allowed
+    vertices, its open choices on an explicit stack, with two prunes: a
+    branch ends once the picks left times the largest closed neighbourhood
+    still allowed cannot cover the undominated vertices, and a vertex's
+    siblings end once some undominated vertex lies outside every closed
+    neighbourhood from it on.  The last pick is drawn only from the closed
+    neighbourhood of the least vertex still undominated, which it must
+    dominate.
     """
     if allowed_mask is None:
         allowed_mask = g.full_mask
-    n = g.n
-    # suffix_cover[s] = union of closed neighborhoods of allowed vertices >= s,
-    # suffix_max[s] = size of the largest of them
-    suffix_cover = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        suffix_cover[s] = suffix_cover[s + 1]
-        suffix_max[s] = suffix_max[s + 1]
-        if allowed_mask >> s & 1:
-            suffix_cover[s] |= g.closed_mask(s)
-            suffix_max[s] = max(suffix_max[s], g.closed_mask(s).bit_count())
-
-    def rec(start: int, chosen: int, undominated: int, slots: int) -> Iterator[int]:
-        if not undominated and slots == 0:
-            yield chosen
-            return
-        if slots == 0:
-            return
-        if slots * suffix_max[start] < undominated.bit_count():
-            return  # the remaining picks cannot cover what is left
-        for v in range(start, n):
-            if not (allowed_mask >> v & 1):
-                continue
-            if undominated & ~suffix_cover[v]:
-                break  # some vertex can no longer be covered by any later pick
-            yield from rec(v + 1, chosen | (1 << v), undominated & ~g.closed_mask(v),
-                           slots - 1)
-
-    try:
-        yield from rec(0, 0, g.full_mask, k)
-    finally:
-        del rec  # breaks the closure's cycle when the generator is closed or freed
+    if k <= 0:
+        if k == 0 and not g.full_mask:
+            yield 0  # the empty set dominates the empty graph
+        return
+    closed = g._closed
+    verts = [v for v in range(g.n) if allowed_mask >> v & 1]
+    # cover[i] = union of the closed neighborhoods of verts[i:], widest[i] =
+    # size of the largest of them; both end in 0 for the empty suffix
+    backwards = [closed[v] for v in reversed(verts)]
+    cover = [*accumulate(backwards, or_)][::-1] + [0]
+    widest = [*accumulate(map(int.bit_count, backwards), max)][::-1] + [0]
+    if k * widest[0] < g.n:
+        return
+    # stack[d] = (the indices of verts left to try, chosen, undominated) at
+    # depth d: the sets with d members that are still open
+    stack = [(iter(range(len(verts))), 0, g.full_mask)]
+    while stack:
+        picks, chosen, undominated = stack[-1]
+        slots = k - len(stack)  # the picks left after this one
+        for i in picks:
+            if undominated & ~cover[i]:
+                stack.pop()  # some vertex can no longer be covered by any later pick
+                break
+            v = verts[i]
+            rest = undominated & ~closed[v]
+            if slots > 1:
+                if slots * widest[i + 1] >= rest.bit_count():
+                    stack.append((iter(range(i + 1, len(verts))), chosen | 1 << v, rest))
+                    break
+            elif not slots:
+                if not rest:
+                    yield chosen | 1 << v
+            elif not rest:
+                for w in verts[i + 1:]:
+                    yield chosen | 1 << v | 1 << w
+            elif rest.bit_count() <= widest[i + 1]:
+                # the last pick must dominate the least undominated vertex,
+                # so it is a later allowed member of its closed neighborhood
+                later = closed[(rest & -rest).bit_length() - 1] & allowed_mask & -(2 << v)
+                while later:
+                    low = later & -later
+                    later ^= low
+                    if not rest & ~closed[low.bit_length() - 1]:
+                        yield chosen | 1 << v | low
+        else:
+            stack.pop()
 
 
 def has_dominating_set(g: Graph, k: int) -> bool:

@@ -16,9 +16,10 @@ from swapsets import (
     GraphParseError,
     StarPartition,
     SwapCertificate,
+    format_graph,
     is_tree,
 )
-from swapsets.graph_core import MAX_GRAPH_N, _mask_members
+from swapsets.graph_core import MAX_GRAPH_N, _checked, _mask_members
 from swapsets.tree_algorithms import _INF, _rooted
 
 
@@ -118,6 +119,85 @@ def brute_has_perfect_matching(g: Graph, a, b) -> bool:
         if all(g.has_edge(u, v) for u, v in zip(a, image)):
             return True
     return False
+
+
+def dominating_sets_brute(g: Graph, k: int, allowed_mask: int) -> list[int]:
+    """Bitmasks of the dominating k-subsets of the allowed vertices, in
+    lexicographic order of their sorted vertex tuples."""
+    allowed = [v for v in range(g.n) if allowed_mask >> v & 1]
+    if k < 0:
+        return []
+    return [sum(1 << v for v in cand) for cand in combinations(allowed, k)
+            if brute_dominating(g, cand)]
+
+
+def matching_between_oracle(g: Graph, a, b):
+    """`graph_core.matching_between` as it was before the matchings shared
+    one bitmask routine: augmenting paths over sets and dicts."""
+    a_list = sorted(set(a))
+    b_list = sorted(set(b))
+    if len(a_list) != len(b_list):
+        raise ContractError("matching endpoints must have equal size")
+    if set(a_list) & set(b_list):
+        raise ContractError("matching endpoints must be disjoint")
+    b_set = _checked(b_list, g.n)
+    adj = {u: [v for v in g.neighbors(u) if v in b_set] for u in a_list}
+    match_of_b: dict[int, int] = {}
+
+    def augment(root: int) -> bool:
+        visited = set()
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, partners = stack[-1]
+            for v in partners:
+                if v in visited:
+                    continue
+                visited.add(v)
+                if v in match_of_b:
+                    via.append(v)
+                    w = match_of_b[v]
+                    stack.append((w, iter(adj[w])))
+                    break
+                match_of_b[v] = u
+                for (x, _), y in zip(reversed(stack[:-1]), reversed(via)):
+                    match_of_b[y] = x
+                return True
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
+        return False
+
+    for u in a_list:
+        if not augment(u):
+            return None
+    match_of_a = {u: v for v, u in match_of_b.items()}
+    return tuple((u, match_of_a[u]) for u in a_list)
+
+
+def lex_least_matching_oracle(g: Graph, a, b):
+    """`graph_core.lex_least_matching` as it was before the matchings
+    shared one bitmask routine: greedy, with a `matching_between_oracle`
+    probe for each candidate partner."""
+    a_list = sorted(set(a))
+    b_set = set(b)
+    chosen: list[tuple[int, int]] = []
+    for i, u in enumerate(a_list):
+        placed = False
+        for v in sorted(b_set):
+            if not g.has_edge(u, v):
+                continue
+            rest = (matching_between_oracle(g, a_list[i + 1:], b_set - {v})
+                    if len(a_list) - i - 1 else ())
+            if rest is not None:
+                chosen.append((u, v))
+                b_set.remove(v)
+                placed = True
+                break
+        if not placed:
+            return None
+    return tuple(chosen)
 
 
 def brute_ddm(g: Graph):
@@ -796,3 +876,53 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
             if key not in found:
                 found[key] = bigger
     return tuple(found[k] for k in sorted(found))
+
+
+def scan_alpha3_oracle(max_n: int) -> tuple[dict, int]:
+    """`cli._scan_alpha3` as it was before the alpha-3 scans solved only
+    what the matched-partner construction misses: the exact swap number of
+    every alpha-3 record, then the stage of each."""
+    from swapsets.small_alpha import CensusRecord, _matched_swap, census
+
+    stages: dict = {}
+    no_swap = []
+    records = census(max_n)
+    CensusRecord.fill(records, ("alpha",))
+    records = [rec for rec in records if rec.n >= 6 and rec.alpha == 3]
+    CensusRecord.fill(records, ("ddm",))
+    for rec in records:
+        if _matched_swap(rec.graph, rec.alpha) is not None:
+            stage = "matched-dominating"
+        elif rec.ddm != "infinity":
+            stage = "fallback"
+        else:
+            no_swap.append({"graph_id": rec.graph_id, "graph": format_graph(rec.graph)})
+            continue
+        stages[stage] = stages.get(stage, 0) + 1
+    bound_records, bound_counterexamples = alpha3_bound_oracle(max_n)
+    out = {
+        "scan": "alpha3", "max_n": max_n, "checked": len(records),
+        "stages": stages,
+        "existence_counterexamples": no_swap,
+        "bound_records": len(bound_records),
+        "bound_counterexamples": bound_counterexamples,
+    }
+    return out, (1 if no_swap or bound_counterexamples else 0)
+
+
+def alpha3_bound_oracle(scope_n: int) -> tuple[list, list[dict]]:
+    """The records and counterexamples of `small_alpha.alpha3_bound_check`
+    as it was before it solved only what the construction misses: every
+    alpha-3 record solved exactly."""
+    from swapsets.small_alpha import CensusRecord, census
+
+    records = census(scope_n)
+    CensusRecord.fill(records, ("alpha",))
+    records = [r for r in records if r.alpha == 3]
+    CensusRecord.fill(records, ("ddm",))
+    records = [r for r in records if r.ddm != "infinity"]
+    return records, [{
+        "graph": format_graph(r.graph),
+        "claim": "swap number exceeds independence number 3",
+        "ddm": r.ddm,
+    } for r in records if r.ddm > 3]

@@ -14,11 +14,15 @@ from helpers import (
     brute_dominating,
     brute_gamma,
     complete_graph,
+    dominating_sets_brute,
     graph_oracle,
     has_dominating_set_oracle,
+    lex_least_matching_oracle,
+    matching_between_oracle,
     parse_graph_oracle,
 )
 from swapsets import (
+    ContractError,
     Graph,
     GraphParseError,
     SwapCertificate,
@@ -53,6 +57,7 @@ from swapsets.graph_core import (
     _split_map,
     bfs_tree,
     certified,
+    dominating_sets_lex,
     lex_least_matching,
     members_of,
 )
@@ -75,6 +80,27 @@ def random_graphs(max_n=7):
         return Graph(n, sorted(edges))
 
     return build()
+
+
+def any_graphs(max_n=8):
+    """Graphs on 0..max_n vertices, connected or not, each edge of the
+    complete graph kept or dropped."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=0, max_value=max_n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+    return build()
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ContractError, ValueError, IndexError) as exc:
+        return type(exc), str(exc)
 
 
 def mixed_edge_lists(max_n=12):
@@ -380,6 +406,54 @@ class TestMatching:
         g = cycle_graph(4)
         assert lex_least_matching(g, [0, 2], [1, 3]) == ((0, 1), (2, 3))
 
+    @settings(derandomize=True, max_examples=150)
+    @given(any_graphs(max_n=8), st.data())
+    def test_matchings_match_the_oracles(self, g, data):
+        # disjoint sets of equal size, in range: the same matching or None
+        verts = data.draw(st.permutations(range(g.n)))
+        k = data.draw(st.integers(min_value=0, max_value=g.n // 2))
+        a, b = verts[:k], verts[k:2 * k]
+        assert matching_between(g, a, b) == matching_between_oracle(g, a, b)
+        assert lex_least_matching(g, a, b) == lex_least_matching_oracle(g, a, b)
+
+    @settings(derandomize=True, max_examples=150)
+    @given(any_graphs(max_n=6), st.data())
+    def test_matching_errors_match_the_oracle(self, g, data):
+        # any lists, sizes that differ, overlaps and vertices out of range
+        # included: matching_between returns or raises what it did before,
+        # and lex_least_matching refuses exactly what matching_between does
+        vertex = st.integers(min_value=-1, max_value=g.n)
+        a = data.draw(st.lists(vertex, max_size=4))
+        b = data.draw(st.lists(vertex, max_size=4))
+        expected = outcome(matching_between_oracle, g, a, b)
+        assert outcome(matching_between, g, a, b) == expected
+        if isinstance(expected, tuple) and expected and isinstance(expected[0], type):
+            assert outcome(lex_least_matching, g, a, b) == expected
+        else:
+            assert lex_least_matching(g, a, b) == lex_least_matching_oracle(g, a, b)
+
+    def test_matching_errors(self):
+        g = path_graph(4)
+        with pytest.raises(ContractError, match="equal size"):
+            lex_least_matching(g, [0], [1, 3])
+        with pytest.raises(ContractError, match="disjoint"):
+            matching_between(g, [0, 1], [1, 2])
+        with pytest.raises(ValueError, match="vertex 4 out of range"):
+            lex_least_matching(g, [0], [4])
+        with pytest.raises(IndexError):
+            matching_between(g, [4], [0])
+
+    def test_matching_builds_no_vertex_masks(self):
+        # the masks take n bits per vertex; a matching on a large graph
+        # reads the adjacency tuples only
+        g = grid_graph(100, 100)
+        a, b = range(0, 200, 2), range(1, 200, 2)
+        assert len(matching_between(g, a, b)) == 100
+        assert len(lex_least_matching(g, a, b)) == 100
+        for name in ("_open", "_closed"):
+            with pytest.raises(AttributeError):
+                getattr(Graph, name).__get__(g, Graph)
+
     @settings(derandomize=True, max_examples=40)
     @given(random_graphs(max_n=6), st.data())
     def test_matching_symmetry(self, g, data):
@@ -472,6 +546,20 @@ class TestInvariantNumbers:
     def test_has_dominating_set_matches_oracle(self, g):
         for k in range(-1, g.n + 2):
             assert has_dominating_set(g, k) == has_dominating_set_oracle(g, k), k
+
+    @settings(derandomize=True, max_examples=60)
+    @given(any_graphs(max_n=8), st.data())
+    def test_dominating_sets_lex_matches_brute_force(self, g, data):
+        allowed = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        for k in range(-1, g.n + 2):
+            assert list(dominating_sets_lex(g, k, allowed)) == \
+                dominating_sets_brute(g, k, allowed), (allowed, k)
+            assert list(dominating_sets_lex(g, k)) == \
+                dominating_sets_brute(g, k, g.full_mask), k
+
+    def test_dominating_sets_of_the_empty_graph(self):
+        g = Graph(0, [])
+        assert [list(dominating_sets_lex(g, k)) for k in (-1, 0, 1)] == [[], [0], []]
 
     @settings(derandomize=True, max_examples=30)
     @given(random_graphs(max_n=6))

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    alpha3_bound_oracle,
     canonical_form_oracle,
     census_oracle,
     complete_graph,
     full_extension_children,
+    scan_alpha3_oracle,
 )
 from swapsets import (
     BudgetError,
@@ -42,7 +44,7 @@ from swapsets import (
     verify_certificate,
 )
 import swapsets.small_alpha as small_alpha
-from swapsets.cli import _dumps
+from swapsets.cli import _dumps, _scan_alpha3
 from test_graph_core import random_graphs, run_serial_and_forked
 
 CENSUS_8_SHA256 = "f88c0ca0b3ca3b7310bc5a2c25b738a149179c676f8b573688e9354b6c4eaf9e"
@@ -497,6 +499,50 @@ class TestBoundCheck:
     def test_scope_cap(self):
         with pytest.raises(BudgetError):
             alpha3_bound_check(9)
+
+
+class TestAlpha3Solves:
+    """The alpha-3 scans solve exactly only the records the matched-partner
+    construction misses, and report what solving every record reported."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Serial fills; census records with no value cached, one fresh list
+        per max_n that later calls share, as census's own records are
+        shared; and the graphs dd_m_exact is called on."""
+        real_census, real_solve = small_alpha.census, small_alpha.dd_m_exact
+        lists: dict = {}
+        solved = []
+
+        def solve(g, *args, **kwargs):
+            solved.append(g)
+            return real_solve(g, *args, **kwargs)
+
+        monkeypatch.setattr(small_alpha, "_split_map", lambda fn, items: list(map(fn, items)))
+        monkeypatch.setattr(small_alpha, "census", lambda max_n: lists.setdefault(max_n, [
+            small_alpha.CensusRecord(r.graph, r.graph_id) for r in real_census(max_n)]))
+        monkeypatch.setattr(small_alpha, "dd_m_exact", solve)
+        return lists, solved
+
+    def test_solve_counts(self, fresh):
+        _, solved = fresh
+        _scan_alpha3(7)
+        assert len(solved) == 16  # of 596 records with alpha 3
+        assert sum(map(is_strong_graph, solved)) == 10
+        solved.clear()
+        alpha3_bound_check(8)
+        assert len(solved) == 21  # of 6,459
+
+    @pytest.mark.parametrize("max_n", [6, 7])
+    def test_same_reports_as_solving_every_record(self, fresh, max_n):
+        lists, _ = fresh
+        scan = _scan_alpha3(max_n)
+        bound = alpha3_bound_check(max_n)
+        lists.clear()  # the oracles solve records of their own
+        assert scan == scan_alpha3_oracle(max_n)
+        records, counterexamples = alpha3_bound_oracle(max_n)
+        assert [r.graph_id for r in bound.records] == [r.graph_id for r in records]
+        assert bound.counterexamples == counterexamples
 
 
 class TestConjectureScan:
