@@ -227,7 +227,7 @@ def _cmd_construct(args) -> int:
         _check_size(f"product of {args.g} and {args.h}", left.n * right.n)
         g, cert = product_swap_general(left, right)
         payload = _construct_payload(g, cert)
-    if args.format == "ascii" and board is not None:
+    if board is not None and args.format == "ascii":
         sys.stdout.write(board.render() + "\n")
     else:
         _emit(payload)
@@ -249,34 +249,27 @@ def _cmd_gamma_dp(args) -> int:
 
 
 def _scan_alpha2(max_n: int) -> tuple[dict, int]:
-    from .small_alpha import CensusRecord, _matched_swap, census
+    """The alpha-2 scan: the records in the construction's domain it misses."""
+    from .small_alpha import _MATCHED_MIN_N, _alpha_records
 
-    checked = 0
-    failures = []
-    records = [rec for rec in census(max_n) if rec.n >= 4]
-    CensusRecord.fill(records, ("alpha",))
-    for rec in records:
-        if rec.alpha != 2:
-            continue
-        checked += 1
-        if _matched_swap(rec.graph, rec.alpha) is None:
-            failures.append({"graph_id": rec.graph_id,
-                             "graph": format_graph(rec.graph)})
-    out = {"scan": "alpha2", "max_n": max_n, "checked": checked,
+    records = [rec for rec in _alpha_records(max_n, 2) if rec.n >= _MATCHED_MIN_N[2]]
+    failures = [{"graph_id": rec.graph_id, "graph": format_graph(rec.graph)}
+                for rec in records if not rec.matched]
+    out = {"scan": "alpha2", "max_n": max_n, "checked": len(records),
            "failures": failures}
     return out, (1 if failures else 0)
 
 
 def _scan_alpha3(max_n: int) -> tuple[dict, int]:
     """The alpha-3 scan: the stage of alpha3_swap_with_stage on each record
-    of at least six vertices, and the bound check.  Both read
-    small_alpha._alpha3_records, which solves exactly only the records the
+    in the construction's domain, and the bound check.  Both read
+    small_alpha._alpha_records, which solves exactly only the records the
     matched-partner construction misses."""
-    from .small_alpha import _alpha3_records, alpha3_bound_check
+    from .small_alpha import _MATCHED_MIN_N, _alpha_records, alpha3_bound_check
 
     stages: dict = {}
     no_swap = []
-    records = [rec for rec in _alpha3_records(max_n) if rec.n >= 6]
+    records = [rec for rec in _alpha_records(max_n, 3) if rec.n >= _MATCHED_MIN_N[3]]
     for rec in records:
         # the stages of alpha3_swap_with_stage, on the values the record holds
         if rec.matched:
@@ -300,6 +293,8 @@ def _scan_alpha3(max_n: int) -> tuple[dict, int]:
 
 
 def _cmd_scan(args) -> int:
+    if args.format == "tsv" and args.kind in ("alpha2", "alpha3"):
+        raise ContractError(f"scan {args.kind} has no tsv format")
     if args.kind == "alpha2":
         out, code = _scan_alpha2(args.max_n)
     elif args.kind == "alpha3":
@@ -364,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     gr = fam.add_parser("grid")
     gr.add_argument("a", type=int)
     gr.add_argument("b", type=int)
+    gr.add_argument("--format", choices=("json", "ascii"), default="json")
     st = fam.add_parser("p3-strip")
     st.add_argument("a", type=int)
     pr = fam.add_parser("product")
     pr.add_argument("g")
     pr.add_argument("h")
     for q in (sp, gr, st, pr):
-        q.add_argument("--format", choices=("json", "ascii"), default="json")
         q.add_argument("--graph-out")
         q.add_argument("--cert-out")
 

@@ -439,13 +439,14 @@ def _matching_rows(g: Graph, a: Iterable[int],
     """(sorted a, sorted b, rows): rows[i] holds bit j when the i-th vertex
     of a is adjacent to the j-th of b.  Built from the adjacency tuples, so
     a graph's vertex masks are not needed.  Refuses sets of unequal size,
-    overlapping sets and b-vertices out of range."""
+    overlapping sets and vertices out of range, a before b."""
     a_list = sorted(set(a))
     b_list = sorted(set(b))
     if len(a_list) != len(b_list):
         raise ContractError("matching endpoints must have equal size")
     if set(a_list) & set(b_list):
         raise ContractError("matching endpoints must be disjoint")
+    _checked(a_list, g.n)
     _checked(b_list, g.n)
     position = {v: j for j, v in enumerate(b_list)}
     rows = [sum(1 << position[v] for v in g._adj[u] if v in position) for u in a_list]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import or_
+from typing import Sequence
 
 from .exact_solver import FINITE, dd_m_exact
 from .graph_core import (
@@ -51,7 +52,7 @@ def _order_table(n: int) -> tuple[list[int], int]:
     return [n ** (n - 1 - c) for c in range(n)], n ** n
 
 
-def _refine(adj: list, colors: list[int], count: int, table: tuple) -> list[int]:
+def _refine(adj: Sequence, colors: list[int], count: int, table: tuple) -> list[int]:
     """Stable partition refinement of a ranked coloring with count colors:
     a vertex's color absorbs the multiset of its neighbors' colors.  Returns
     the colors as ranks 0..k-1.
@@ -78,7 +79,7 @@ def _refine(adj: list, colors: list[int], count: int, table: tuple) -> list[int]
     return colors
 
 
-def _equitable(adj: list, table: tuple) -> list[int]:
+def _equitable(adj: Sequence, table: tuple) -> list[int]:
     """The coarsest equitable coloring, refined from the degree ranks, which
     are what a first pass from the uniform coloring would compute."""
     degrees = list(map(len, adj))
@@ -86,7 +87,7 @@ def _equitable(adj: list, table: tuple) -> list[int]:
     return _refine(adj, list(map(distinct.index, degrees)), len(distinct), table)
 
 
-def _label(adj: list, opens: list[int], edges) -> tuple[int, list[list[int]]]:
+def _label(adj: Sequence, opens: Sequence[int], edges) -> tuple[int, list[list[int]]]:
     """The canonical encoding of the graph with these neighbor tuples, open
     neighborhood masks and edges, and generators of its automorphism group
     as lists of vertex images; canonical_form and the census both label
@@ -190,8 +191,7 @@ def _orbit(points: list[int], generators: list[list[int]]) -> set[int]:
 def canonical_form(g: Graph) -> int:
     """Canonical adjacency encoding, equal exactly for isomorphic graphs
     (see _label)."""
-    vertices = range(g.n)
-    return _label(list(map(g.neighbors, vertices)), list(map(g.open_mask, vertices)), g.edges)[0]
+    return _label(g._adj, g._open, g.edges)[0]
 
 
 def _orbit_least_masks(n: int, generators: list[list[int]]):
@@ -269,11 +269,11 @@ class CensusRecord:
 
     @cached_property
     def matched(self) -> bool:
-        """Whether the matched-partner construction (_matched_swap) gives
-        this record, of independence number 3 on at least six vertices, a
-        pair of size 3.  The pair is checked through certified, so it proves
-        both that a swap set exists and that the swap number is at most 3."""
-        return self.alpha == 3 and self.n >= 6 and _matched_swap(self.graph, 3) is not None
+        """Whether _matched_swap gives this record, inside the construction's
+        domain (_MATCHED_MIN_N), a pair of size alpha; the pair is checked
+        through certified, so a swap set exists and the swap number is at most alpha."""
+        return (self.alpha in _MATCHED_MIN_N and self.n >= _MATCHED_MIN_N[self.alpha]
+                and _matched_swap(self.graph, self.alpha) is not None)
 
     @property
     def cert_size(self) -> int | None:
@@ -345,18 +345,13 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
 
     The jobs are tested and labelled through _split_map, whose two
     processes take alternate jobs: late parents have most of their jobs
-    dropped, so halves would leave most labels to the first process.  Each
-    process returns None for a code it has met at an earlier job; when a
-    failed worker's jobs are labelled after the parent's own, a code met
-    there only at a later job is returned again.  So the first job of each
-    code is among those returned and is kept, and the records are those of
-    the serial loop.  The jobs and codes are freed on return, before
-    _classes builds its records."""
+    dropped, so halves would leave most labels to the first process.  The
+    merge keeps the first job of each code, in job order, so the records are
+    those of the serial loop.  The jobs and codes are freed on return,
+    before _classes builds its records."""
     top = n - 1
     parents = _classes(top)
-    shapes = [(list(map(rec.graph.neighbors, range(top))),
-               list(map(rec.graph.open_mask, range(top))), rec.graph.edges)
-              for rec, _ in parents]
+    shapes = [(rec.graph._adj, rec.graph._open, rec.graph.edges) for rec, _ in parents]
     # the largest index of a parent with each sorted degree sequence
     last = {tuple(sorted(map(len, adj))): p for p, (adj, _, _) in enumerate(shapes)}
     from array import array  # here, so that importing the package skips it
@@ -366,7 +361,6 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
                        for mask in _orbit_least_masks(top, generators)))
     low = (1 << top) - 1
     keep = n < MAX_CENSUS_N
-    seen = {}  # code -> the least job of this process that labelled it
 
     def label(job):
         p, mask = job >> top, job & low
@@ -374,9 +368,6 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
         if _copies_an_earlier_parent(adj, opens, mask, p, last):
             return None
         code, generators = _label(*_child(*shape, mask))
-        if seen.get(code, job) < job:
-            return None
-        seen[code] = job
         return code, generators if keep else ()
 
     out: dict[int, tuple[Graph, list[list[int]]]] = {}
@@ -386,7 +377,7 @@ def _first_children(n: int) -> dict[int, tuple[Graph, list[list[int]]]]:
     return out
 
 
-def _copies_an_earlier_parent(adj: list, opens: list[int], mask: int, p: int,
+def _copies_an_earlier_parent(adj: Sequence, opens: Sequence[int], mask: int, p: int,
                               last: dict) -> bool:
     """Whether removing some old vertex w from the child of parent p with
     these neighbor tuples and open masks, and of this mask, leaves a
@@ -417,7 +408,7 @@ def _copies_an_earlier_parent(adj: list, opens: list[int], mask: int, p: int,
     return False
 
 
-def _child(adj: list, opens: list[int], edges, mask: int) -> tuple[list, list[int], list]:
+def _child(adj: Sequence, opens: Sequence[int], edges, mask: int) -> tuple[list, list[int], list]:
     """The neighbor tuples, open masks and edges of a graph with these
     extended by a new last vertex attached to the members of mask."""
     top = len(adj)
@@ -470,6 +461,20 @@ def _matched_swap(g: Graph, alpha: int) -> SwapCertificate | None:
     return _matched_partner(g, _lex_max_independent_set(g, alpha))
 
 
+# the least order, by independence number, the matched-partner construction covers
+_MATCHED_MIN_N = {2: 4, 3: 6}
+
+
+def _require_small_alpha(g: Graph, alpha: int, name: str) -> None:
+    """Refuse g unless it lies in the construction's domain for alpha."""
+    if not is_connected(g):
+        raise ContractError(f"{name} needs a connected graph")
+    if g.n < _MATCHED_MIN_N[alpha]:
+        raise ContractError(f"{name} needs at least {_MATCHED_MIN_N[alpha]} vertices")
+    if independence_number(g) != alpha:
+        raise ContractError(f"{name} needs independence number exactly {alpha}")
+
+
 # ---------------------------------------------------------------------------
 # independence number 2
 
@@ -482,12 +487,7 @@ def alpha2_swap(g: Graph) -> SwapCertificate | None:
     N({u,v}) with a perfect matching to {u,v} is such a pair, so none is
     missed.
     """
-    if not is_connected(g):
-        raise ContractError("alpha2_swap needs a connected graph")
-    if g.n <= 3:
-        raise ContractError("alpha2_swap needs more than three vertices")
-    if independence_number(g) != 2:
-        raise ContractError("alpha2_swap needs independence number exactly 2")
+    _require_small_alpha(g, 2, "alpha2_swap")
     return _matched_swap(g, 2)
 
 
@@ -508,12 +508,7 @@ def alpha3_swap_with_stage(g: Graph) -> tuple[SwapCertificate, str] | None:
     vertices (dense random graphs, and three cliques joined by sparse cross
     edges).  Were it to fail on a graph with more than MAX_DOMINATION_N (30)
     vertices, the fallback would raise BudgetError."""
-    if not is_connected(g):
-        raise ContractError("alpha3_swap needs a connected graph")
-    if g.n < 6:
-        raise ContractError("alpha3_swap needs at least six vertices")
-    if independence_number(g) != 3:
-        raise ContractError("alpha3_swap needs independence number exactly 3")
+    _require_small_alpha(g, 3, "alpha3_swap")
     cert = _matched_swap(g, 3)
     if cert is not None:
         return cert, "matched-dominating"
@@ -557,17 +552,18 @@ class ScanReport:
         }
 
 
-def _alpha3_records(max_n: int) -> list[CensusRecord]:
-    """The census records up to max_n of independence number 3, the one
-    source of both alpha-3 scans.  Alpha and the matched-partner
-    construction run in one pass over the census; the exact swap number is
-    solved only on the records the construction misses, since elsewhere its
-    checked pair already proves a swap set and a swap number of at most 3.
-    At max_n 7 that is 16 exact solves instead of 596, ten of them on strong
-    graphs; at max_n 8, 21 instead of 6,459."""
+def _alpha_records(max_n: int, alpha: int) -> list[CensusRecord]:
+    """The census records up to max_n of this independence number, the one
+    source of the alpha-2 scan and both alpha-3 scans.  The matched-partner
+    construction runs in-process on these records only, where the ddm
+    filter reads it (a fill of its own forked once more for 14 ms of work at
+    max_n 7).  The exact swap number is solved only where it misses, as
+    elsewhere its checked pair proves a swap set and a swap number of at
+    most alpha: for alpha 3, 16 solves instead of 596 at max_n 7, and 21
+    instead of 6,459 at max_n 8."""
     records = census(max_n)
-    CensusRecord.fill(records, ("alpha", "matched"))
-    records = [r for r in records if r.alpha == 3]
+    CensusRecord.fill(records, ("alpha",))
+    records = [r for r in records if r.alpha == alpha]
     CensusRecord.fill([r for r in records if not r.matched], ("ddm",))
     return records
 
@@ -576,8 +572,8 @@ def alpha3_bound_check(scope_n: int) -> ScanReport:
     """Exhaustive check that every connected graph up to scope_n with
     independence number 3 and a swap set has swap number at most 3.  Only
     the records the matched-partner construction misses are solved exactly
-    (see _alpha3_records)."""
-    records = [r for r in _alpha3_records(scope_n) if r.matched or r.ddm != "infinity"]
+    (see _alpha_records)."""
+    records = [r for r in _alpha_records(scope_n, 3) if r.matched or r.ddm != "infinity"]
     report = ScanReport((1, scope_n), "alpha=3 with a swap set", records)
     report.counterexamples = [{
         "graph": format_graph(r.graph),

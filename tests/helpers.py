@@ -133,13 +133,15 @@ def dominating_sets_brute(g: Graph, k: int, allowed_mask: int) -> list[int]:
 
 def matching_between_oracle(g: Graph, a, b):
     """`graph_core.matching_between` as it was before the matchings shared
-    one bitmask routine: augmenting paths over sets and dicts."""
+    one bitmask routine: augmenting paths over sets and dicts.  Vertices of
+    a are range-checked too, before those of b."""
     a_list = sorted(set(a))
     b_list = sorted(set(b))
     if len(a_list) != len(b_list):
         raise ContractError("matching endpoints must have equal size")
     if set(a_list) & set(b_list):
         raise ContractError("matching endpoints must be disjoint")
+    _checked(a_list, g.n)
     b_set = _checked(b_list, g.n)
     adj = {u: [v for v in g.neighbors(u) if v in b_set] for u in a_list}
     match_of_b: dict[int, int] = {}

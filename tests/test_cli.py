@@ -365,6 +365,22 @@ class TestConstruct:
         assert len(lines) == 8 and all(len(line) == 8 for line in lines)
         assert set("".join(lines)) <= {"B", "W", "."}
 
+    @pytest.mark.parametrize("argv, code", [
+        (("construct", "grid", "9", "8", "--format", "ascii"), 0),
+        (("construct", "star-product", "2", "2", "--format", "ascii"), 2),
+        (("construct", "p3-strip", "3", "--format", "ascii"), 2),
+        (("construct", "product", "p2", "p3", "--format", "json"), 2),
+        (("scan", "alpha2", "--max-n", "5", "--format", "tsv"), 2),
+        (("scan", "alpha3", "--max-n", "6", "--format", "tsv"), 2),
+    ])
+    def test_format_only_where_it_changes_the_output(self, capsys, argv, code):
+        # only the grid family has a second format, and the alpha scans have
+        # no tsv one: a format that would print the default is refused
+        assert run(list(argv)) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert ("format" in captured.err) == (code == 2)
+
     def test_bad_dimensions_are_usage_errors(self, capsys):
         assert run_cli(capsys, "construct", "grid", "8", "9")[0] == 2
         assert run_cli(capsys, "construct", "p3-strip", "1")[0] == 2
@@ -749,6 +765,21 @@ class TestProductScanDigests:
     def test_max_n_18_matches_recorded_digest(self, argv, sha256):
         proc = run_module(["scan", "products", "--max-n", "18", *argv])
         assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == sha256
+
+
+class TestAlphaScanDigests:
+    # stdout digests and exit codes of both alpha scans beyond the
+    # benchmark's --max-n 7, recorded before the two scans shared one
+    # matched-partner pass; scan alpha3 exits 1 as it lists the strong graphs
+
+    @pytest.mark.parametrize("kind, code, sha256", [
+        ("alpha2", 0, "7604c7227032ae378924799cbca7d7de08176c7676e506189db19a28fc29d178"),
+        ("alpha3", 1, "0713f35a0a80e3be99646825af822c1a142be6b1812375bdc23584eafc831b0f"),
+    ])
+    def test_max_n_8_matches_recorded_digest(self, kind, code, sha256):
+        proc = run_module(["scan", kind, "--max-n", "8"])
+        assert proc.returncode == code, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == sha256
 
 

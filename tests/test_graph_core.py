@@ -440,8 +440,11 @@ class TestMatching:
             matching_between(g, [0, 1], [1, 2])
         with pytest.raises(ValueError, match="vertex 4 out of range"):
             lex_least_matching(g, [0], [4])
-        with pytest.raises(IndexError):
-            matching_between(g, [4], [0])
+        # a vertices are range-checked as b vertices are, before them
+        for match in (matching_between, lex_least_matching):
+            for a in ([-1], [4]):
+                with pytest.raises(ValueError, match=f"vertex {a[0]} out of range"):
+                    match(g, a, [2])
 
     def test_matching_builds_no_vertex_masks(self):
         # the masks take n bits per vertex; a matching on a large graph

@@ -253,8 +253,8 @@ class TestCensus:
 
     def test_census_8_after_failed_workers(self):
         # every worker exits before sending data, so the parent labels the
-        # second half of each level itself, with the codes of its own half
-        # already seen; the records must be those of the serial loop
+        # worker's jobs of each level itself, after its own; the merge, in
+        # job order, must still keep the records of the serial loop
         script = (
             "import hashlib, os, sys\n"
             "real_fork = os.fork\n"

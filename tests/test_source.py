@@ -297,3 +297,17 @@ def test_collector_switched_only_by_the_cli_and_trees_built_in_two_places():
     found += _calls_outside(PACKAGE_DIR / "tree_algorithms.py", {"Graph"},
                             {"weak_reduction", "hat_graph"})
     assert not found, found
+
+
+def test_every_module_is_a_benchmark_layer():
+    """The benchmark's tracer names each layer after its module, and
+    `perfbench/run.py` sums self time over its `LAYERS` tuple, which raises
+    `KeyError` on a module missing from it; so every package module but
+    `__init__` is listed there."""
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(run_py.read_text(encoding="utf-8"), filename=str(run_py))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    assert modules <= set(layers), sorted(modules - set(layers))
